@@ -111,6 +111,20 @@ def momentum_from_energy(
     return k
 
 
+def momentum_grid(omega, params: WaveguideParams, band: Band = Band.UPPER):
+    """Array counterpart of :func:`momentum_from_energy`: ``(in_band, k)``,
+    the mask of the energies at which it would return rather than raise,
+    and the momenta in (0, pi) at those energies only."""
+    omega = np.asarray(omega, dtype=float)
+    gap_edge, outer_edge = band_edges(params)
+    w = np.abs(omega)
+    t1, t2 = params.t1, params.t2
+    arg = (w * w - t1 * t1 - t2 * t2) / (2.0 * t1 * t2)
+    # |arg| < 1 is where acos lands strictly inside (0, pi)
+    in_band = (omega * band.sign > 0.0) & (w > gap_edge) & (w < outer_edge) & (np.abs(arg) < 1)
+    return in_band, np.arccos(arg[in_band])
+
+
 def group_velocity(k: float, params: WaveguideParams) -> float:
     """Magnitude |t1 t2 sin k| / omega_k of the band slope.
 

@@ -199,7 +199,7 @@ def _cmd_bands(args):
         (k, w, -w, dx, dy)
         for k, w, (dx, dy) in zip(ks.tolist(), omega.tolist(), d.tolist())
     ]
-    return header, rows, [dict(zip(header, row)) for row in rows], "csv"
+    return header, rows, None, "csv"
 
 
 def _cmd_winding(args):
@@ -233,7 +233,7 @@ def _cmd_spectrum(args):
             grid.amplitude.tolist(),
         )
     ]
-    return header, rows, [dict(zip(header, row)) for row in rows], "csv"
+    return header, rows, None, "csv"
 
 
 def _cmd_contour(args):
@@ -248,7 +248,7 @@ def _cmd_contour(args):
     rows = list(
         zip(grid.delta_k.tolist(), grid.omega_rabi.tolist(), grid.transmission.tolist())
     )
-    return header, rows, [dict(zip(header, row)) for row in rows], "csv"
+    return header, rows, None, "csv"
 
 
 def _cmd_poles(args):
@@ -282,8 +282,7 @@ def _cmd_features(args):
     found = spectra.extract_features(grid)
     header = ["kind", "position", "depth", "fwhm", "asymmetry"]
     rows = [(f.kind, f.position, f.depth, f.fwhm, f.asymmetry) for f in found]
-    payload = [dict(zip(header, row)) for row in rows]
-    return header, rows, payload, "json"
+    return header, rows, None, "json"
 
 
 def run(argv=None) -> int:
@@ -309,6 +308,7 @@ def run(argv=None) -> int:
             _emit_json(report, args.out)
             return 0 if report["passed"] else 1
 
+        # a handler's payload of None means one JSON record per row
         handler = {
             "bands": _cmd_bands,
             "winding": _cmd_winding,
@@ -322,6 +322,8 @@ def run(argv=None) -> int:
         if out_format == "csv":
             _emit_csv(header, rows, args.out)
         else:
+            if payload is None:
+                payload = [dict(zip(header, row)) for row in rows]
             _emit_json(payload, args.out)
         return 0
     except (OSError, json.JSONDecodeError) as exc:

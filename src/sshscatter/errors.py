@@ -1,8 +1,8 @@
 """Typed error signals shared across the package.
 
 Numerical degeneracies (band edges, diverging potentials, singular linear
-systems) are surfaced as distinct exception types so that sweep and CLI
-layers can map each one to its analytic limit instead of emitting NaN/inf.
+systems) are surfaced as distinct exception types, so that callers can
+tell each one apart instead of receiving NaN/inf.
 """
 
 

@@ -1,4 +1,4 @@
-"""Effective potentials, transfer matrices, and closed-form transmission.
+"""Effective potentials, transfer matrices, and closed-form t and r.
 
 Both probing bands are handled through one convention: for a photon of
 signed energy E (positive on the upper band, negative on the lower band)
@@ -7,10 +7,13 @@ On the upper band phi_E is the ordinary coupling phase; on the lower band
 it is shifted by pi.  Written this way every formula below covers both
 bands without case splits, which the finite-lattice oracle confirms.
 
-Two independent routes to the transmission amplitude coexist on purpose:
-the closed forms in :func:`transmittance` and the transfer-matrix ->
-scattering-matrix pipeline.  They agree to ~1e-14 wherever both are
-defined; tests enforce 1e-10.
+Two independent routes to the scattering amplitudes coexist on purpose:
+the closed forms (:func:`transmittance`, :func:`reflectance` and their
+array form :func:`amplitude_grid`) and the transfer-matrix ->
+scattering-matrix pipeline, kept as the check route.  The closed forms
+carry the potential's denominator multiplied through, so they stay
+regular at its poles; the pipeline raises there.  They agree to ~1e-14
+wherever both are defined; tests enforce 1e-10.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import band_phase, bloch_point, momentum_from_energy
+from .bands import bloch_point, momentum_from_energy, momentum_grid
 from .errors import DegenerateDenominatorError, PotentialSingularityError
 from .params import Band, CouplingConfig, EmitterParams, Variant, WaveguideParams
 
@@ -234,6 +237,60 @@ def interference_factor(phi_e: float, alpha: float) -> complex:
     return 2.0 * alpha * (1.0 - alpha) * (cmath.exp(-1j * phi_e) - 1.0) + 1.0
 
 
+def _potential_terms(delta_k, emitter):
+    """(num, den) with V = 4 g^2 num / den; floats or arrays of ``delta_k``.
+
+    ``den`` snaps to 0 at an exact pole hit, ``|den| < _POLE_EPS``, unless
+    ``num`` vanishes too (there V is zero, not singular).
+    """
+    if emitter.g == 0.0:
+        # a decoupled emitter has no potential, and so no pole either
+        return 0.0, 1.0
+    if emitter.omega_rabi == 0.0:
+        # the metastable level decouples: V = g^2 / delta_k
+        num, den = 0.25, delta_k
+    else:
+        num = delta_k + emitter.delta_c
+        den = 4.0 * delta_k * num - emitter.omega_rabi * emitter.omega_rabi
+    return num, den * ((abs(den) >= _POLE_EPS) | (num == 0.0))
+
+
+def _cell_amplitudes(config, energy, h, phase, params, emitter):
+    """Closed-form (t, r) at signed energy ``energy``; floats or arrays.
+
+    ``h`` is h(k) at the photon's momentum and ``phase`` is exp(2i k x1).
+    With V = 4 g^2 num/den the coupling cell's two equations of motion
+    plus the emitter's ``den c = 4 num (g1 u_A + g2 u_B)`` (its amplitude
+    c kept as a third unknown) solve to
+
+        D = (h - h*) t1 den + 4 num [E (g1^2 + g2^2) + 2 g1 g2 h*]
+        t = (h - h*) (t1 den - 4 num g1 g2) / D
+        r = -4 num (g1 h + g2 E)^2 exp(2i k x1) / (E D)
+
+    where h - h* = 2i t2 sin k.  Nothing here divides by den, so one
+    expression covers finite potentials, their poles (den = 0) and every
+    coupling geometry.
+    """
+    g1, g2 = config.couplings(emitter.g)
+    num, den = _potential_terms(energy - emitter.omega_e, emitter)
+    h_conj = h.conjugate()
+    s = h - h_conj
+    c = 4.0 * num
+    x = params.t1 * den
+    d = s * x + c * (energy * (g1 * g1 + g2 * g2) + 2.0 * g1 * g2 * h_conj)
+    b = g1 * h + g2 * energy
+    # adding 0j turns an exact zero of t (a pole hit) into +0, not -0
+    t = s * (x - c * g1 * g2) / d + 0j
+    return t, -c * b * b * phase / (energy * d)
+
+
+def _point_amplitudes(config, omega, params, emitter, band):
+    k = momentum_from_energy(omega, params, band)
+    h = -params.t1 - params.t2 * cmath.exp(-1j * k)
+    phase = cmath.exp(2j * k * emitter.x1)
+    return _cell_amplitudes(config, omega, h, phase, params, emitter)
+
+
 def transmittance(
     config: CouplingConfig,
     omega: float,
@@ -246,79 +303,12 @@ def transmittance(
     Single-site couplings: ``t = 2 t1 t2 sin k / (2 t1 t2 sin k - i V E)``.
     Two-site coupling:
     ``t = 2i t2 sin k (t1 - V a(1-a)) / (2i t1 t2 sin k + V E F)`` with the
-    interference factor F above.  At a potential pole the analytic limit is
-    returned (0 for single-site coupling).  Out-of-band energies raise.
+    interference factor F above.  Both are evaluated with the potential's
+    denominator multiplied through, so a potential pole needs no special
+    case (t = 0 there for single-site coupling).  Out-of-band energies and
+    band edges raise.
     """
-    t1, t2 = params.t1, params.t2
-    try:
-        k, phi_e, pot = _kinematics(config, omega, params, emitter, band)
-    except PotentialSingularityError:
-        # Diverging potential: perfect mirror for single-site coupling; the
-        # two-site numerator and denominator both scale with V.
-        if config.variant is not Variant.AB:
-            return 0j
-        k = momentum_from_energy(omega, params, band)
-        phi_e = band_phase(k, omega, params)
-        beta = config.alpha * (1.0 - config.alpha)
-        fac = interference_factor(phi_e, config.alpha)
-        return -2j * t2 * math.sin(k) * beta / (omega * fac)
-    sink = math.sin(k)
-    if config.variant is not Variant.AB:
-        s2 = 2.0 * t1 * t2 * sink
-        return s2 / (s2 - 1j * pot.value * omega)
-    beta = config.alpha * (1.0 - config.alpha)
-    fac = interference_factor(phi_e, config.alpha)
-    num = 2j * t2 * sink * (t1 - pot.value * beta)
-    den = 2j * t1 * t2 * sink + pot.value * omega * fac
-    return num / den
-
-
-def _cell_equations(k, phi_e, x1):
-    """Plane-wave phases shared by the exact coupling-cell solves."""
-    e_plus = cmath.exp(1j * (k * x1 + phi_e))
-    e_minus = 1.0 / e_plus
-    f_plus = cmath.exp(1j * k * x1)
-    f_minus = 1.0 / f_plus
-    eik = cmath.exp(1j * k)
-    return e_plus, e_minus, f_plus, f_minus, eik
-
-
-def _ab_cell_solve(energy, k, phi_e, pot, x1, t1, t2):
-    """Exact (r, t) for the two-site coupling from the two modified
-    equations of motion of the coupling cell.  Finite potentials only."""
-    ep, em, fp, fm, eik = _cell_equations(k, phi_e, x1)
-    v1, v2, v3 = pot.on_a, pot.cross, pot.on_b
-    m = np.array(
-        [
-            [-t2 * fm * eik - (energy - v1) * em, (v2 - t1) * fp],
-            [(v2 - t1) * em, -t2 * ep * eik - (energy - v3) * fp],
-        ]
-    )
-    rhs = np.array(
-        [t2 * fp / eik + (energy - v1) * ep, (t1 - v2) * ep]
-    )
-    r, t = np.linalg.solve(m, rhs)
-    return complex(t), complex(r)
-
-
-def _pole_limit_solve(energy, k, phi_e, g1, g2, x1, t1, t2):
-    """Exact (r, t) in the diverging-potential limit.
-
-    At a potential pole the emitter pins g1 u_A(x1) + g2 u_B(x1) = 0 while
-    its excited amplitude stays finite; solving that constraint with the
-    two coupling-cell equations of motion gives the limit scattering state.
-    """
-    ep, em, fp, fm, eik = _cell_equations(k, phi_e, x1)
-    m = np.array(
-        [
-            [g1 * em, g2 * fp, 0.0],
-            [energy * em + t2 * fm * eik, t1 * fp, -g1],
-            [t1 * em, energy * fp + t2 * ep * eik, -g2],
-        ]
-    )
-    rhs = np.array([-g1 * ep, -energy * ep - t2 * fp / eik, -t1 * ep])
-    r, t, _ = np.linalg.solve(m, rhs)
-    return complex(t), complex(r)
+    return _point_amplitudes(config, omega, params, emitter, band)[0]
 
 
 def reflectance(
@@ -330,33 +320,32 @@ def reflectance(
 ) -> complex:
     """Reflection amplitude for left incidence at signed energy ``omega``.
 
-    Single-site couplings go through the transfer -> scattering pipeline
-    (whose entries stay exactly flux-conserving for real potentials).  The
-    two-site coupling uses the exact coupling-cell solve instead: the
-    pipeline's A-step factor degenerates at the shifted transmission zero,
-    while the cell solve is regular there.  Potential poles fall back to
-    the diverging-potential limit system.  |t|^2 + |r|^2 = 1 holds at every
-    point.
+    ``r = -V E (a exp(i phi_E) + 1 - a)^2 exp(2i k x1) / (2i t1 t2 sin k + V E F)``,
+    the same coupling-cell solution as :func:`transmittance` (the
+    single-site couplings are a = 1 and a = 0).  It is evaluated with the
+    potential's denominator multiplied through, so it stays regular at and
+    next to the potential poles and at the shifted transmission zero, and
+    |t|^2 + |r|^2 = 1 holds at every in-band point.
     """
-    t1, t2 = params.t1, params.t2
-    try:
-        k, phi_e, pot = _kinematics(config, omega, params, emitter, band)
-    except PotentialSingularityError:
-        k = momentum_from_energy(omega, params, band)
-        phi_e = band_phase(k, omega, params)
-        g1, g2 = config.couplings(emitter.g)
-        _, r = _pole_limit_solve(omega, k, phi_e, g1, g2, emitter.x1, t1, t2)
-        return r
-    if config.variant is not Variant.AB:
-        u = _single_site_transfer(
-            config.variant, k, phi_e, pot.value, emitter.x1, t1, t2
-        )
-        return scattering_matrix(u).r_left
-    if abs(pot.response) > 1e8:
-        # so close to a pole that the cell system is numerically rank-1;
-        # the diverging-potential limit is accurate to O(1/V) here
-        g1, g2 = config.couplings(emitter.g)
-        _, r = _pole_limit_solve(omega, k, phi_e, g1, g2, emitter.x1, t1, t2)
-        return r
-    _, r = _ab_cell_solve(omega, k, phi_e, pot, emitter.x1, t1, t2)
-    return r
+    return _point_amplitudes(config, omega, params, emitter, band)[1]
+
+
+def amplitude_grid(
+    config: CouplingConfig,
+    omega,
+    params: WaveguideParams,
+    emitter: EmitterParams,
+    band: Band = Band.UPPER,
+):
+    """Closed-form (t, r) over an array of signed energies.
+
+    Returns ``(in_band, t, r)``: the mask of the energies at which
+    :func:`transmittance` would not raise, and the two amplitudes at those
+    energies only.  Each point's kinematics are computed once.
+    """
+    omega = np.asarray(omega, dtype=float)
+    in_band, k = momentum_grid(omega, params, band)
+    h = -params.t1 - params.t2 * np.exp(-1j * k)
+    phase = np.exp(2j * k * emitter.x1)
+    t, r = _cell_amplitudes(config, omega[in_band], h, phase, params, emitter)
+    return in_band, t, r

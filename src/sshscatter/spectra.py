@@ -1,7 +1,7 @@
 """Pole structure, regime classification, sweeps, and lineshape extraction.
 
-Sweeps evaluate the closed-form transmission and the independently computed
-reflection on a detuning grid, substituting analytic limits at potential
+Sweeps evaluate the closed-form t and r once per grid point, dropping the
+out-of-band points by mask; the formulas are regular at the potential
 poles, so contour data contains no non-finite values.  Feature extraction
 is deliberately fit-free: positions come from grid extrema and widths from
 linear interpolation of half-depth crossings, so accuracy is controlled by
@@ -21,12 +21,11 @@ from .bands import bloch_point
 from .errors import (
     BandEdgeError,
     EmptyGridError,
-    OutOfBandError,
     UnsupportedFeatureError,
     ValidationError,
 )
 from .params import Band, CouplingConfig, EmitterParams, WaveguideParams
-from .scattering import interference_factor, reflectance, transmittance
+from .scattering import amplitude_grid, interference_factor
 
 # Deterministic regime boundaries on the control-field ratio.  The physics
 # only fixes the asymptotic regimes (weak / comparable / strong control
@@ -100,16 +99,24 @@ def poles(
 
     Valid only for ``delta_c = 0``, where the pole equation closes in
     radicals: ``dk = i s +/- sqrt(Omega^2/4 - s^2)`` with the complex
-    strength ``s = g^2 omega_k F / (4 t1 t2 sin k)``.
+    strength ``s = g^2 omega_k F / (4 t1 t2 sin k)``.  The smaller root is
+    computed as ``-(Omega^2/4)`` over the larger, keeping its precision.
     """
     if emitter.delta_c != 0.0:
         raise UnsupportedFeatureError(
             "closed-form poles require delta_c = 0; sweep the spectrum instead"
         )
     strength, _, _, _ = _pole_strength(config, params, emitter, k)
-    om = emitter.omega_rabi
-    root = cmath.sqrt(om * om / 4.0 - strength * strength)
-    return PolePair(pole_plus=1j * strength + root, pole_minus=1j * strength - root)
+    quarter = emitter.omega_rabi * emitter.omega_rabi / 4.0
+    root = cmath.sqrt(quarter - strength * strength)
+    # the larger root first, free of cancellation; their product is -Omega^2/4
+    if (1j * strength * root.conjugate()).real >= 0.0:
+        plus = 1j * strength + root
+        minus = -quarter / plus if quarter else 0j
+    else:
+        minus = 1j * strength - root
+        plus = -quarter / minus if quarter else 0j
+    return PolePair(pole_plus=plus, pole_minus=minus)
 
 
 def classify_regime(
@@ -176,26 +183,17 @@ def sweep_spectrum(
     :class:`EmptyGridError`.
     """
     dk_grid = np.asarray(dk_grid, dtype=float)
-    rows = []
-    for dk in dk_grid:
-        omega = emitter.omega_e + dk
-        try:
-            t = transmittance(config, omega, params, emitter, band)
-            r = reflectance(config, omega, params, emitter, band)
-        except (OutOfBandError, BandEdgeError, ValidationError):
-            continue
-        rows.append((dk, emitter.omega_rabi, abs(t) ** 2, abs(r) ** 2, t))
-    if not rows:
+    in_band, t, r = amplitude_grid(config, emitter.omega_e + dk_grid, params, emitter, band)
+    if not t.size:
         raise EmptyGridError(
             f"no grid point maps into the {band.value} passband for omega_e = {emitter.omega_e}"
         )
-    dks, oms, ts, rs, amps = zip(*rows)
     return SpectrumGrid(
-        delta_k=np.array(dks),
-        omega_rabi=np.array(oms),
-        transmission=np.array(ts),
-        reflection=np.array(rs),
-        amplitude=np.array(amps),
+        delta_k=dk_grid[in_band],
+        omega_rabi=np.full(t.size, emitter.omega_rabi),
+        transmission=np.abs(t) ** 2,
+        reflection=np.abs(r) ** 2,
+        amplitude=t,
     )
 
 
@@ -207,23 +205,22 @@ def sweep_contour(
     omega_grid,
     band: Band = Band.UPPER,
 ) -> SpectrumGrid:
-    """Outer sweep over control-field strength, inner over detuning."""
-    parts = []
-    for om in np.asarray(omega_grid, dtype=float):
-        em = dataclasses.replace(emitter, omega_rabi=float(om))
-        try:
-            parts.append(sweep_spectrum(config, params, em, dk_grid, band))
-        except EmptyGridError:
-            continue
-    if not parts:
-        raise EmptyGridError("every contour row fell outside the passband")
-    return SpectrumGrid(
-        delta_k=np.concatenate([p.delta_k for p in parts]),
-        omega_rabi=np.concatenate([p.omega_rabi for p in parts]),
-        transmission=np.concatenate([p.transmission for p in parts]),
-        reflection=np.concatenate([p.reflection for p in parts]),
-        amplitude=np.concatenate([p.amplitude for p in parts]),
-    )
+    """Outer sweep over control-field strength, inner over detuning.
+
+    Every row keeps the same in-band detunings, so an out-of-band detuning
+    grid raises :class:`EmptyGridError` from its first row.
+    """
+    rows = [
+        sweep_spectrum(config, params, dataclasses.replace(emitter, omega_rabi=float(om)),
+                       dk_grid, band)
+        for om in np.asarray(omega_grid, dtype=float)
+    ]
+    if not rows:
+        raise EmptyGridError("the control-field grid is empty")
+    return SpectrumGrid(**{
+        field.name: np.concatenate([getattr(row, field.name) for row in rows])
+        for field in dataclasses.fields(SpectrumGrid)
+    })
 
 
 def _half_crossing(x, y, i_from, level, direction):

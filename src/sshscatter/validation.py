@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .bands import band_edges, dispersion_grid, momentum_from_energy
-from .errors import ModelError
 from .lattice import (
     boundary_matched_solve,
     packet_momentum_weights,
@@ -23,7 +22,7 @@ from .params import (
     Variant,
     WaveguideParams,
 )
-from .scattering import scattering_matrix, transfer_matrix, transmittance
+from .scattering import amplitude_grid, scattering_matrix, transfer_matrix, transmittance
 
 TOL_AGREEMENT = 1e-10
 TOL_WAVEPACKET = 2e-2
@@ -62,19 +61,11 @@ def bandwidth_averaged_transmission(
     """
     k, weights = packet_momentum_weights(k0, sigma_x, n_cells)
     w2 = weights * weights
-    energies = band.sign * dispersion_grid(np.abs(k), params)
-    total = 0.0
-    wsum = 0.0
-    for energy, wm in zip(energies, w2):
-        if wm < 1e-14:
-            continue
-        try:
-            t = transmittance(config, float(energy), params, emitter, band)
-        except ModelError:
-            continue
-        total += wm * abs(t) ** 2
-        wsum += wm
-    return total / wsum
+    keep = w2 >= 1e-14
+    energies = band.sign * dispersion_grid(np.abs(k[keep]), params)
+    in_band, t, _ = amplitude_grid(config, energies, params, emitter, band)
+    w2 = w2[keep][in_band]
+    return float(np.sum(w2 * np.abs(t) ** 2) / np.sum(w2))
 
 
 def _draw_case(rng, variant):

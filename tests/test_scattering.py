@@ -10,6 +10,7 @@ from sshscatter import (
     Variant,
     WaveguideParams,
     band_edges,
+    boundary_matched_solve,
     detuning_response,
     effective_potential,
     momentum_from_energy,
@@ -177,6 +178,22 @@ class TestTransmittance:
         t = transmittance(config_a, 1.5, trivial_chain, emitter)
         assert abs(t - 1.0) < 1e-15
 
+    def test_transparency_survives_a_tiny_drive(self, trivial_chain, config_a):
+        # Omega^2 < 1e-14 puts the whole two-photon window inside the pole-hit
+        # band |den| < 1e-14, but at dk = -dc the potential is exactly zero
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=1e-8, g=0.2, x1=5)
+        assert transmittance(config_a, 1.5, trivial_chain, emitter) == 1.0
+        assert reflectance(config_a, 1.5, trivial_chain, emitter) == 0.0
+
+    @pytest.mark.parametrize("omega_rabi", [0.0, 0.2])
+    def test_decoupled_emitter_is_transparent(self, trivial_chain, omega_rabi):
+        # g = 0 is a valid input; the emitter's poles must not survive it
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=omega_rabi, g=0.0, x1=5)
+        config = CouplingConfig(Variant.AB, 0.3)
+        for omega in (1.5 - omega_rabi / 2.0, 1.5, 1.5 + omega_rabi / 2.0, 1.62):
+            assert transmittance(config, omega, trivial_chain, emitter) == 1.0
+            assert reflectance(config, omega, trivial_chain, emitter) == 0.0
+
     def test_derived_midband_value(self, trivial_chain, config_a):
         # hand evaluation: V = g^2/(sqrt(2.5) - 1.5), |t|^2 = s^2/(s^2 + (V w)^2)
         emitter = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=0.2, x1=5)
@@ -329,3 +346,33 @@ class TestReflectance:
         t = transmittance(config, 1.5 + zero, trivial_chain, emitter)
         r = reflectance(config, 1.5 + zero, trivial_chain, emitter)
         assert abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) < 1e-12
+
+
+class TestNearPole:
+    """Two-site coupling 1e-6 .. 1e-12 away from every potential pole.
+
+    The random draws of the other suites stay clear of the poles; here the
+    reflection amplitude is probed right next to them, with and without
+    the control field, against flux conservation and the lattice oracle.
+    """
+
+    @pytest.mark.parametrize("delta", [0.5, -0.5])
+    @pytest.mark.parametrize("alpha", [0.2, 0.5])
+    @pytest.mark.parametrize("omega_rabi", [0.0, 0.0045, 0.2])
+    def test_flux_and_lattice_agreement(self, delta, alpha, omega_rabi):
+        wg = WaveguideParams(delta=delta)
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=omega_rabi, g=0.2, x1=10)
+        config = CouplingConfig(Variant.AB, alpha)
+        pole_dks = [0.0] if omega_rabi == 0.0 else [-omega_rabi / 2.0, omega_rabi / 2.0]
+        worst_flux = worst_lattice = 0.0
+        for pole in pole_dks:
+            for eps in 10.0 ** -np.arange(6, 13):
+                for sign in (1.0, -1.0):
+                    omega = 1.5 + pole + sign * eps
+                    t = transmittance(config, omega, wg, emitter)
+                    r = reflectance(config, omega, wg, emitter)
+                    r_lattice = boundary_matched_solve(omega, 32, wg, emitter, config).r_num
+                    worst_flux = max(worst_flux, abs(abs(t) ** 2 + abs(r) ** 2 - 1.0))
+                    worst_lattice = max(worst_lattice, abs(r - r_lattice))
+        assert worst_flux <= 1e-12
+        assert worst_lattice <= 1e-12

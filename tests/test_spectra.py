@@ -4,22 +4,30 @@ import numpy as np
 import pytest
 
 from sshscatter import (
+    Band,
     CouplingConfig,
     EmitterParams,
     Variant,
     WaveguideParams,
     ats_dip_positions,
+    band_edges,
     bloch_point,
     classify_regime,
     extract_features,
     lamb_shift,
     momentum_from_energy,
     poles,
+    reflectance,
     sweep_contour,
     sweep_spectrum,
     transmittance,
 )
-from sshscatter.errors import EmptyGridError, UnsupportedFeatureError, ValidationError
+from sshscatter.errors import (
+    EmptyGridError,
+    ModelError,
+    UnsupportedFeatureError,
+    ValidationError,
+)
 from sshscatter.spectra import SpectrumGrid
 
 
@@ -66,6 +74,15 @@ class TestPoles:
             pair = poles(CouplingConfig(variant, alpha), trivial_chain, emitter, k)
             assert pair.pole_plus.imag >= -1e-15
             assert pair.pole_minus.imag >= -1e-15
+
+    def test_small_pole_keeps_full_precision(self, trivial_chain, config_a):
+        # Omega << |s|: the smaller root must not come from a cancellation
+        emitter = EmitterParams(omega_e=1.6, omega_rabi=1.44e-7, g=0.2, x1=5)
+        k = momentum_from_energy(1.6, trivial_chain)
+        pair = poles(config_a, trivial_chain, emitter, k)
+        quarter = emitter.omega_rabi**2 / 4.0
+        assert abs(pair.pole_plus * pair.pole_minus + quarter) <= 1e-12 * quarter
+        assert abs(pair.pole_plus) > abs(pair.pole_minus)
 
     def test_detuned_control_unsupported(self, trivial_chain, config_a, resonant_k):
         emitter = EmitterParams(omega_e=1.5, delta_c=0.1, g=0.2, x1=5)
@@ -167,6 +184,56 @@ class TestSweeps:
         grid = sweep_spectrum(config_a, trivial_chain, emitter, np.linspace(-0.3, 0.3, 61))
         assert len(grid) < 61
         assert np.all(grid.delta_k + 1.9 < 2.0)
+
+        # Grids across the outer edge, the gap edge, and (delta = 0.1) the
+        # whole gap into the other band, on both bands.  The detunings are
+        # multiples of 2^-6, so dk = 0 puts the energy exactly on an edge.
+        # A point is kept exactly where the scalar kinematics do not raise.
+        dk = np.arange(-32, 33) * 2.0**-6
+        for delta, edge in ((0.5, 2.0), (0.5, 1.0), (0.1, 0.2)):
+            wg = WaveguideParams(delta=delta)
+            assert edge in band_edges(wg)
+            for band in (Band.UPPER, Band.LOWER):
+                emitter = EmitterParams(omega_e=band.sign * edge, g=0.1, x1=5)
+                expected = []
+                for x in dk:
+                    try:
+                        momentum_from_energy(emitter.omega_e + x, wg, band)
+                    except ModelError:
+                        continue
+                    expected.append(x)
+                grid = sweep_spectrum(config_a, wg, emitter, dk, band)
+                np.testing.assert_array_equal(grid.delta_k, expected)
+                assert 0 < len(grid) < len(dk)
+                assert 0.0 not in grid.delta_k
+
+    @pytest.mark.parametrize("variant", [Variant.A, Variant.B, Variant.AB])
+    def test_sweep_matches_scalar_amplitudes(self, variant):
+        # unfiltered draws: poles, zeros and band edges are not steered clear of
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            band = Band.UPPER if rng.random() < 0.5 else Band.LOWER
+            wg = WaveguideParams(delta=float(rng.uniform(-0.8, 0.8)))
+            alpha = {Variant.A: 1.0, Variant.B: 0.0}.get(variant, float(rng.uniform(0.05, 0.95)))
+            emitter = EmitterParams(
+                omega_e=band.sign * float(rng.uniform(0.0, 2.2)),
+                delta_c=float(rng.uniform(-0.2, 0.2)),
+                omega_rabi=float(rng.choice([0.0, rng.uniform(0.0, 0.5)])),
+                g=float(rng.uniform(0.05, 0.4)),
+                x1=int(rng.integers(1, 40)),
+            )
+            config = CouplingConfig(variant, alpha)
+            dk = np.linspace(float(rng.uniform(-0.6, -0.1)), float(rng.uniform(0.1, 0.6)), 301)
+            try:
+                grid = sweep_spectrum(config, wg, emitter, dk, band)
+            except EmptyGridError:
+                continue
+            for x, amp, refl in zip(grid.delta_k, grid.amplitude, grid.reflection):
+                omega = emitter.omega_e + x
+                t = transmittance(config, omega, wg, emitter, band)
+                r = reflectance(config, omega, wg, emitter, band)
+                assert abs(amp - t) <= 1e-13
+                assert abs(refl - abs(r) ** 2) <= 1e-13
 
     def test_fully_out_of_band_raises(self, trivial_chain, config_a):
         emitter = EmitterParams(omega_e=0.2, omega_rabi=0.0, g=0.1, x1=5)
