@@ -85,7 +85,9 @@ def detuning_response(delta_k: float, delta_c: float, omega_rabi: float) -> floa
     field off this reduces algebraically to ``1/(4 dk)`` (the metastable
     level decouples), which is used directly to avoid a spurious 0/0 at
     dk = -dc.  Raises :class:`PotentialSingularityError` at a pole,
-    carrying the nearest pole detuning.
+    carrying the nearest pole detuning.  At two-photon resonance,
+    dk + dc = 0, the denominator is -Omega^2 and the response is exactly 0,
+    however small Omega is.
     """
     if omega_rabi == 0.0:
         if abs(delta_k) < _POLE_EPS:
@@ -93,6 +95,8 @@ def detuning_response(delta_k: float, delta_c: float, omega_rabi: float) -> floa
                 f"potential pole at delta_k = 0 (got {delta_k})", pole=0.0
             )
         return 1.0 / (4.0 * delta_k)
+    if delta_k + delta_c == 0.0:
+        return 0.0
     den = 4.0 * delta_k * (delta_k + delta_c) - omega_rabi * omega_rabi
     if abs(den) < _POLE_EPS:
         root = math.sqrt(delta_c * delta_c + omega_rabi * omega_rabi)
@@ -279,9 +283,12 @@ def _cell_amplitudes(config, energy, h, phase, params, emitter):
     x = params.t1 * den
     d = s * x + c * (energy * (g1 * g1 + g2 * g2) + 2.0 * g1 * g2 * h_conj)
     b = g1 * h + g2 * energy
+    # d is 0 only where both the potential's denominator and its numerator
+    # 4 g^2 num read 0, as when Omega^2 or g^2 underflows: V = 0 there
+    free = d == 0.0
     # adding 0j turns an exact zero of t (a pole hit) into +0, not -0
-    t = s * (x - c * g1 * g2) / d + 0j
-    return t, -c * b * b * phase / (energy * d)
+    t = (s * (x - c * g1 * g2) + free) / (d + free) + 0j
+    return t, -c * b * b * phase / (energy * (d + free))
 
 
 def _point_amplitudes(config, omega, params, emitter, band):

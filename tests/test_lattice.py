@@ -25,6 +25,7 @@ from sshscatter.errors import (
     PlacementError,
     ValidationError,
 )
+from sshscatter.lattice import packet_momentum_weights
 
 
 class TestBuildHamiltonian:
@@ -59,6 +60,16 @@ class TestBuildHamiltonian:
         assert ham.matrix[ie, ia] == pytest.approx(0.15)
         assert ham.matrix[ie, 2 * 3] == pytest.approx(0.05)      # A site of cell 4
         assert ham.matrix[ie, 2 * 3 + 1] == pytest.approx(0.15)  # B site of cell 4
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("x1", [1, 5, 12])
+    def test_apply_matches_matrix(self, trivial_chain, variant, x1):
+        # x1 = N puts the B coupling next to the zero BN-e bond of the basis
+        emitter = EmitterParams(omega_e=1.5, delta_c=0.07, omega_rabi=0.3, g=0.2, x1=x1)
+        ham = build_hamiltonian(12, trivial_chain, emitter, CouplingConfig(variant, 0.3))
+        rng = np.random.default_rng(x1)
+        psi = rng.normal(size=ham.dim) + 1j * rng.normal(size=ham.dim)
+        np.testing.assert_allclose(ham.apply(psi), ham.matrix @ psi, rtol=0, atol=1e-14)
 
     def test_placement_outside_chain_rejected(self, trivial_chain, config_a):
         emitter = EmitterParams(omega_e=1.5, g=0.2, x1=21)
@@ -125,6 +136,26 @@ class TestBoundaryMatchedSolve:
         b = boundary_matched_solve(1.6, 28, trivial_chain, shifted, config_ab)
         assert abs(abs(a.t_num) - abs(b.t_num)) < 1e-10
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("band", list(Band))
+    def test_independent_of_chain_length(self, variant, band):
+        # boundary matching is exact at any length, so N = 32, 128 and 512
+        # must give one answer
+        wg = WaveguideParams(delta=0.35)
+        emitter = EmitterParams(
+            omega_e=1.42 * band.sign, delta_c=0.06, omega_rabi=0.17, g=0.27, x1=9
+        )
+        config = CouplingConfig(variant, 0.35)
+        sols = [
+            boundary_matched_solve(1.55 * band.sign, n, wg, emitter, config, band)
+            for n in (32, 128, 512)
+        ]
+        for sol in sols:
+            assert sol.residual < 1e-10
+            assert abs(sol.t_num - sols[0].t_num) < 1e-10
+            assert abs(sol.r_num - sols[0].r_num) < 1e-10
+        assert abs(abs(sols[0].t_num) ** 2 + abs(sols[0].r_num) ** 2 - 1.0) < 1e-10
+
     def test_edge_placement_rejected(self, trivial_chain, config_a):
         emitter = EmitterParams(omega_e=1.5, g=0.2, x1=2)
         with pytest.raises(PlacementError):
@@ -141,12 +172,31 @@ class TestEvolve:
 
     def test_eigenvector_acquires_pure_phase(self, trivial_chain, resonant_emitter, config_a):
         ham = build_hamiltonian(12, trivial_chain, resonant_emitter, config_a)
-        vals, vecs = ham.eigensystem()
+        vals, vecs = np.linalg.eigh(ham.matrix)
         v = vecs[:, 7]
         out = evolve(v, ham, 3.7)
         overlap = np.vdot(v, out)
         assert abs(abs(overlap) - 1.0) < 1e-10
         assert overlap == pytest.approx(np.exp(-1j * vals[7] * 3.7), abs=1e-10)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("t", [0.0, 3.7, 50.0, 500.0])
+    def test_matches_eigh_reference(self, topological_chain, variant, t):
+        emitter = EmitterParams(omega_e=1.5, delta_c=0.05, omega_rabi=0.3, g=0.4, x1=6)
+        ham = build_hamiltonian(12, topological_chain, emitter, CouplingConfig(variant, 0.3))
+        rng = np.random.default_rng(17)
+        psi = rng.normal(size=ham.dim) + 1j * rng.normal(size=ham.dim)
+        psi /= np.linalg.norm(psi)
+        vals, vecs = np.linalg.eigh(ham.matrix)
+        reference = vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ psi))
+        np.testing.assert_allclose(evolve(psi, ham, t), reference, rtol=0, atol=1e-10)
+
+    def test_steps_compose(self, trivial_chain, config_ab):
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.3, x1=20)
+        ham = build_hamiltonian(40, trivial_chain, emitter, config_ab)
+        psi = gaussian_packet(1.5, 4.0, 12, trivial_chain, 40)
+        two_steps = evolve(evolve(psi, ham, 13.1), ham, 29.4)
+        np.testing.assert_allclose(two_steps, evolve(psi, ham, 42.5), rtol=0, atol=1e-12)
 
     def test_long_run_norm(self, trivial_chain, config_a):
         emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=200)
@@ -154,6 +204,20 @@ class TestEvolve:
         psi = gaussian_packet(1.5, 20.0, 120, trivial_chain, 400)
         out = evolve(psi, ham, 500.0)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-8
+
+
+class TestGaussianPacket:
+    def test_matches_direct_momentum_sum(self, trivial_chain):
+        n, center = 400, 120
+        k, weights = packet_momentum_weights(1.5, 20.0, n)
+        phi = np.angle(-trivial_chain.t1 - trivial_chain.t2 * np.exp(-1j * k))
+        phases = np.exp(1j * np.outer(k, np.arange(1, n + 1) - center))
+        direct = np.zeros(2 * n + 2, dtype=complex)
+        direct[0 : 2 * n : 2] = phases.T @ weights
+        direct[1 : 2 * n : 2] = phases.T @ (weights * np.exp(-1j * phi))
+        direct /= np.linalg.norm(direct)
+        packet = gaussian_packet(1.5, 20.0, center, trivial_chain, n)
+        np.testing.assert_allclose(packet, direct, rtol=0, atol=1e-12)
 
 
 class TestWavepacket:

@@ -65,6 +65,10 @@ class TestEffectivePotential:
     def test_vanishes_at_two_photon_resonance(self):
         pot = effective_potential(0.0, 0.0, 0.2, 0.2)
         assert pot.value == 0.0
+        # with Omega < 1e-7 the denominator -Omega^2 is below the pole-hit
+        # threshold, but the numerator is exactly zero: no pole
+        assert effective_potential(0.0, 0.0, 1e-8, 0.2).value == 0.0
+        assert effective_potential(-0.03, 0.03, 1e-8, 0.2, alpha=0.4).cross == 0.0
 
     def test_control_off_reduces_to_single_pole(self):
         pot = effective_potential(0.1, 0.0, 0.0, 0.2)
@@ -178,12 +182,28 @@ class TestTransmittance:
         t = transmittance(config_a, 1.5, trivial_chain, emitter)
         assert abs(t - 1.0) < 1e-15
 
-    def test_transparency_survives_a_tiny_drive(self, trivial_chain, config_a):
+    def test_transparency_survives_a_tiny_drive(self, trivial_chain):
         # Omega^2 < 1e-14 puts the whole two-photon window inside the pole-hit
-        # band |den| < 1e-14, but at dk = -dc the potential is exactly zero
+        # band |den| < 1e-14, but at dk = -dc the potential is exactly zero;
+        # the closed form, the transfer-matrix route and the lattice agree
         emitter = EmitterParams(omega_e=1.5, omega_rabi=1e-8, g=0.2, x1=5)
-        assert transmittance(config_a, 1.5, trivial_chain, emitter) == 1.0
-        assert reflectance(config_a, 1.5, trivial_chain, emitter) == 0.0
+        k = momentum_from_energy(1.5, trivial_chain)
+        for variant in Variant:
+            config = CouplingConfig(variant)
+            assert transmittance(config, 1.5, trivial_chain, emitter) == 1.0
+            assert reflectance(config, 1.5, trivial_chain, emitter) == 0.0
+            pipe = scattering_matrix(transfer_matrix(config, k, trivial_chain, emitter))
+            assert abs(pipe.t_left - 1.0) < 1e-12
+            sol = boundary_matched_solve(1.5, 32, trivial_chain, emitter, config)
+            assert abs(sol.t_num - 1.0) < 1e-12
+
+    def test_transparency_survives_an_underflowing_drive(self, trivial_chain):
+        # Omega^2 underflows to 0, so the potential reads 0/0 at dk = -dc: the
+        # emitter must still be transparent, not raise ZeroDivisionError
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=5e-324, g=0.2, x1=5)
+        for variant in Variant:
+            assert transmittance(CouplingConfig(variant), 1.5, trivial_chain, emitter) == 1.0
+            assert reflectance(CouplingConfig(variant), 1.5, trivial_chain, emitter) == 0.0
 
     @pytest.mark.parametrize("omega_rabi", [0.0, 0.2])
     def test_decoupled_emitter_is_transparent(self, trivial_chain, omega_rabi):
