@@ -2,7 +2,9 @@
 
 Float output is fixed at 12 significant digits (scientific notation for
 CSV, rounded values for JSON) and files are written atomically, so two
-invocations with the same inputs produce byte-identical artifacts.
+invocations with the same inputs produce byte-identical artifacts.  Each
+table handler returns a header and equal-length columns; CSV text is
+formatted and written a block of rows at a time.
 
 Exit codes: 0 success, 1 validation-tolerance breach, 2 usage error.
 """
@@ -10,6 +12,7 @@ Exit codes: 0 success, 1 validation-tolerance breach, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -24,23 +27,16 @@ from .errors import ModelError, ValidationError
 from .params import _SCHEMA, Band, bundle_from_dict, load_param_dict
 from .validation import agreement_report
 
-_FLOAT_FMT = "{:.11e}"
+_FLOAT_FMT = "%.11e"
 
-
-def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _FLOAT_FMT.format(float(value))
-    return str(value)
+#: rows per block of CSV text; each block is formatted in one call
+_BLOCK_ROWS = 4096
 
 
 def _round12(value: float) -> float:
     if value == 0.0 or not math.isfinite(value):
         return value
-    return float(_FLOAT_FMT.format(value))
+    return float(_FLOAT_FMT % value)
 
 
 def _jsonify(obj):
@@ -62,15 +58,20 @@ def _jsonify(obj):
     return obj
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(chunks, out_path) -> None:
+    """Write text chunks to stdout, or to ``out_path`` atomically.
+
+    Each chunk is written as it is produced, so a large table never exists
+    as one string.
+    """
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sshscatter-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -78,14 +79,29 @@ def _emit(text: str, out_path) -> None:
         raise
 
 
-def _emit_csv(header, rows, out_path) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt_value(v) for v in row) for row in rows)
-    _emit("\n".join(lines) + "\n", out_path)
+def _csv_chunks(header, columns):
+    """CSV text of a column table: the header line, then blocks of rows.
+
+    ``columns`` are equal-length 1-d arrays (or sequences numpy turns into
+    one), each of a single type.  Float columns print as ``%.11e`` (the
+    same text as ``{:.11e}`` for every double); int, bool and str columns
+    print as ``str`` of the value.  Each block of ``_BLOCK_ROWS`` rows is
+    one ``%`` format of the row template repeated.
+    """
+    columns = [np.asarray(col) for col in columns]
+    width = len(columns)
+    row = ",".join(_FLOAT_FMT if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
+    yield ",".join(header) + "\n"
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
+        values = [None] * (width * len(block[0]))
+        for j, col in enumerate(block):
+            values[j::width] = col
+        yield row * len(block[0]) % tuple(values)
 
 
 def _emit_json(payload, out_path) -> None:
-    _emit(json.dumps(_jsonify(payload), indent=2) + "\n", out_path)
+    _emit([json.dumps(_jsonify(payload), indent=2) + "\n"], out_path)
 
 
 def _add_param_flags(parser, with_coupling=True):
@@ -112,7 +128,13 @@ def _add_dk_flags(parser):
     parser.add_argument("--dk-steps", type=int, default=401)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    ``parse_args`` leaves the parser unchanged and returns a new namespace
+    each call, and every default is immutable, so runs share nothing.
+    """
     parser = argparse.ArgumentParser(
         prog="sshscatter",
         description="Single-photon scattering through a dimerized resonator "
@@ -195,11 +217,7 @@ def _cmd_bands(args):
     omega = band_ops.dispersion_grid(ks, wg)
     d = band_ops.d_vector_grid(ks, wg)
     header = ["k", "omega_upper", "omega_lower", "dx", "dy"]
-    rows = [
-        (k, w, -w, dx, dy)
-        for k, w, (dx, dy) in zip(ks.tolist(), omega.tolist(), d.tolist())
-    ]
-    return header, rows, None, "csv"
+    return header, [ks, omega, -omega, d[:, 0], d[:, 1]], None, "csv"
 
 
 def _cmd_winding(args):
@@ -210,7 +228,7 @@ def _cmd_winding(args):
         "nu": nu,
         "zak_phase": nu * math.pi,
     }
-    return list(payload), [tuple(payload.values())], payload, "json"
+    return list(payload), [[value] for value in payload.values()], payload, "json"
 
 
 def _spectrum_grid(args, bundle):
@@ -224,16 +242,9 @@ def _cmd_spectrum(args):
     bundle = _merge_bundle(args)
     grid = _spectrum_grid(args, bundle)
     header = ["delta_k", "T", "R", "re_t", "im_t"]
-    rows = [
-        (dk, t, r, amp.real, amp.imag)
-        for dk, t, r, amp in zip(
-            grid.delta_k.tolist(),
-            grid.transmission.tolist(),
-            grid.reflection.tolist(),
-            grid.amplitude.tolist(),
-        )
-    ]
-    return header, rows, None, "csv"
+    columns = [grid.delta_k, grid.transmission, grid.reflection,
+               grid.amplitude.real, grid.amplitude.imag]
+    return header, columns, None, "csv"
 
 
 def _cmd_contour(args):
@@ -245,10 +256,7 @@ def _cmd_contour(args):
         bundle.coupling, bundle.waveguide, bundle.emitter, dk, om, Band(args.band)
     )
     header = ["delta_k", "omega_rabi", "T"]
-    rows = list(
-        zip(grid.delta_k.tolist(), grid.omega_rabi.tolist(), grid.transmission.tolist())
-    )
-    return header, rows, None, "csv"
+    return header, [grid.delta_k, grid.omega_rabi, grid.transmission], None, "csv"
 
 
 def _cmd_poles(args):
@@ -268,12 +276,12 @@ def _cmd_poles(args):
     }
     header = ["pole_plus_re", "pole_plus_im", "pole_minus_re", "pole_minus_im",
               "regime", "ratio", "lamb_shift"]
-    rows = [(
+    row = (
         pair.pole_plus.real, pair.pole_plus.imag,
         pair.pole_minus.real, pair.pole_minus.imag,
         regime.label, regime.ratio, payload["lamb_shift"],
-    )]
-    return header, rows, payload, "json"
+    )
+    return header, [[value] for value in row], payload, "json"
 
 
 def _cmd_features(args):
@@ -281,8 +289,8 @@ def _cmd_features(args):
     grid = _spectrum_grid(args, bundle)
     found = spectra.extract_features(grid)
     header = ["kind", "position", "depth", "fwhm", "asymmetry"]
-    rows = [(f.kind, f.position, f.depth, f.fwhm, f.asymmetry) for f in found]
-    return header, rows, None, "json"
+    columns = [[getattr(f, name) for f in found] for name in header]
+    return header, columns, None, "json"
 
 
 def run(argv=None) -> int:
@@ -308,7 +316,8 @@ def run(argv=None) -> int:
             _emit_json(report, args.out)
             return 0 if report["passed"] else 1
 
-        # a handler's payload of None means one JSON record per row
+        # a handler returns a column table (a header and equal-length
+        # columns); its payload of None means one JSON record per row
         handler = {
             "bands": _cmd_bands,
             "winding": _cmd_winding,
@@ -317,12 +326,13 @@ def run(argv=None) -> int:
             "poles": _cmd_poles,
             "features": _cmd_features,
         }[args.command]
-        header, rows, payload, default_format = handler(args)
+        header, columns, payload, default_format = handler(args)
         out_format = args.format or default_format
         if out_format == "csv":
-            _emit_csv(header, rows, args.out)
+            _emit(_csv_chunks(header, columns), args.out)
         else:
             if payload is None:
+                rows = zip(*(np.asarray(col).tolist() for col in columns))
                 payload = [dict(zip(header, row)) for row in rows]
             _emit_json(payload, args.out)
         return 0

@@ -32,6 +32,11 @@ from .params import Band, CouplingConfig, EmitterParams, Variant, WaveguideParam
 # denominator counts as an exact pole hit.
 _POLE_EPS = 1e-14
 
+# At a pole hit, couplings below this are solved at g = 1 (see
+# _cell_amplitudes): g^2 and the products built on it would underflow there
+# and lose their digits.
+_G_TINY = 1e-100
+
 
 @dataclass(frozen=True)
 class EffectivePotential:
@@ -129,17 +134,6 @@ def effective_potential(
         cross=4.0 * g1 * g2 * resp,
         on_b=4.0 * g2 * g2 * resp,
     )
-
-
-def _kinematics(config, omega, params, emitter, band):
-    """Shared setup: signed energy, momentum, band phase, potential split."""
-    k = momentum_from_energy(omega, params, band)
-    phi_e = band_phase(k, omega, params)
-    pot = effective_potential(
-        omega - emitter.omega_e, emitter.delta_c, emitter.omega_rabi,
-        emitter.g, config.alpha,
-    )
-    return k, phi_e, pot
 
 
 def _single_site_transfer(variant, k, phi_e, value, x1, t1, t2):
@@ -277,6 +271,10 @@ def _cell_amplitudes(config, energy, h, phase, params, emitter):
     """
     g1, g2 = config.couplings(emitter.g)
     num, den = _potential_terms(energy - emitter.omega_e, emitter)
+    if 0.0 < emitter.g < _G_TINY:
+        # t and r depend on g only through den / g^2, which is 0 at a pole
+        # hit whatever g is: solve those points at g = 1
+        g1, g2 = config.couplings(np.where(den == 0.0, 1.0, emitter.g))
     h_conj = h.conjugate()
     s = h - h_conj
     c = 4.0 * num

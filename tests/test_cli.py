@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sshscatter import cli
 from sshscatter.cli import run
 
 
@@ -222,3 +223,129 @@ class TestDeterminism:
             assert run(["--out", str(a)] + argv) == 0
             assert run(["--out", str(b)] + argv) == 0
             assert a.read_bytes() == b.read_bytes()
+
+
+def _reference_value(value) -> str:
+    """The per-value CSV rendering the block formatter must reproduce."""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return "{:.11e}".format(float(value))
+    return str(value)
+
+
+def _reference_csv(header, columns) -> str:
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    lines = [",".join(header)] + [",".join(_reference_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvBlocks:
+    SPECIAL = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300,
+               1.0, -2.5e-17, 0.1, 123456.789012345]
+
+    def _check(self, header, columns):
+        text = "".join(cli._csv_chunks(header, columns))
+        assert text == _reference_csv(header, columns)
+
+    def test_special_floats(self):
+        col = np.array(self.SPECIAL)
+        self._check(["a", "b"], [col, col[::-1].copy()])
+
+    def test_int_bool_and_str_columns(self):
+        n = len(self.SPECIAL)
+        self._check(
+            ["kind", "x", "nu", "flag"],
+            [["dip", "peak"] * (n // 2) + ["dip"], self.SPECIAL, list(range(-3, n - 3)),
+             [True, False] * (n // 2) + [True]],
+        )
+
+    def test_empty_table_is_the_header(self):
+        assert "".join(cli._csv_chunks(["kind", "position"], [[], []])) == "kind,position\n"
+
+    def test_block_boundary_inside_the_table(self):
+        rng = np.random.default_rng(7)
+        n = cli._BLOCK_ROWS + 17
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[[0, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, n - 1]] = [-0.0, math.nan, math.inf, 5e-324]
+        chunks = list(cli._csv_chunks(["x", "i", "s"], [floats, np.arange(n), ["v"] * n]))
+        assert len(chunks) == 3  # header, one full block, the rest
+        assert "".join(chunks) == _reference_csv(["x", "i", "s"], [floats, np.arange(n), ["v"] * n])
+
+    @pytest.mark.parametrize("argv", [
+        ["winding", "--delta", "-0.5"],
+        ["poles", "--config", "AB", "--alpha", "0.5", "--omega-rabi", "0.0045"],
+        ["poles", "--config", "A", "--g", "0", "--omega-rabi", "0.2"],
+        ["features", "--config", "A", "--omega-rabi", "0.4", "--dk-min", "-0.35",
+         "--dk-max", "0.35", "--dk-steps", "2001"],
+    ])
+    def test_mixed_tables_match_the_reference(self, argv):
+        args = cli._build_parser().parse_args(["--format", "csv"] + argv)
+        handler = {"winding": cli._cmd_winding, "poles": cli._cmd_poles,
+                   "features": cli._cmd_features}[args.command]
+        header, columns, _, _ = handler(args)
+        self._check(header, columns)
+
+
+class TestParserReuse:
+    """The parser is built once per process; runs must not share state."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_json_then_default_format(self, capsys):
+        assert run(["--format", "json", "spectrum", "--dk-steps", "5"]) == 0
+        assert capsys.readouterr().out.startswith("[")
+        assert run(["spectrum", "--dk-steps", "5"]) == 0
+        assert capsys.readouterr().out.startswith("delta_k,T,R,re_t,im_t\n")
+
+    def test_param_file_then_flags_only(self, tmp_path, capsys):
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps({"delta": -0.5}))
+        assert run(["--params", str(cfg), "winding"]) == 0
+        assert json.loads(capsys.readouterr().out)["nu"] == 1
+        assert run(["winding"]) == 0
+        assert json.loads(capsys.readouterr().out)["nu"] == 0
+
+    @pytest.mark.parametrize("first,code", [
+        (["spectrum", "--frobnicate", "1"], 2),
+        (["--help"], 0),
+        (["spectrum", "--help"], 0),
+    ])
+    def test_exit_then_valid_command(self, capsys, first, code):
+        assert run(first) == code
+        capsys.readouterr()
+        assert run(["winding", "--delta", "-0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] == -0.5
+
+
+class TestStdoutMatchesFile:
+    """Streaming to stdout and writing --out give the same bytes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bands", "--k-steps", "31"],
+        ["winding", "--delta", "-0.5"],
+        ["spectrum", "--config", "AB", "--alpha", "0.3", "--omega-rabi", "0.05",
+         "--dk-steps", str(cli._BLOCK_ROWS + 101)],
+        ["contour", "--config", "A", "--dk-steps", "21", "--omega-rabi-steps", "3"],
+        ["poles", "--config", "A", "--omega-rabi", "0.2"],
+        ["features", "--config", "A", "--omega-rabi", "0.4", "--dk-min", "-0.35",
+         "--dk-max", "0.35", "--dk-steps", "2001"],
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_round_trip(self, tmp_path, capsys, argv, fmt):
+        out = tmp_path / "out"
+        assert run(["--format", fmt] + argv) == 0
+        streamed = capsys.readouterr().out.encode("utf-8")
+        assert run(["--out", str(out), "--format", fmt] + argv) == 0
+        assert out.read_bytes() == streamed
+
+    def test_validate_round_trip(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["validate", "--draws", "1", "--n-cells", "24", "--skip-wavepacket"]
+        assert run(argv) == 0
+        streamed = capsys.readouterr().out.encode("utf-8")
+        assert run(["--out", str(out)] + argv) == 0
+        assert out.read_bytes() == streamed

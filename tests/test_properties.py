@@ -2,12 +2,13 @@
 
 The draws reach potential poles, two-photon resonance and band edges; an
 input the package rejects must be rejected the same way on both sides of
-an identity.  Energies are on the scale of J: each coupling, drive and
-detuning is either exactly 0 or at least 1e-6 J.  Far below that, products
-such as 4 g^2 (dk + dc) leave the range of doubles, and the 1e-14 pole-hit
-threshold is absolute, not relative to the drive.  hypothesis is a
-test-only dependency (``pip install .[test]``); without it this module is
-skipped.
+an identity.  Energies are on the scale of J: each drive and detuning is
+either exactly 0 or at least 1e-6 J.  Far below that, products such as
+4 g^2 (dk + dc) leave the range of doubles, and the 1e-14 pole-hit
+threshold is absolute, not relative to the drive.  Couplings also reach
+down to 1e-300 J, where g^2 underflows; below that a rescaling by J would
+itself round g.  hypothesis is a test-only dependency
+(``pip install .[test]``); without it this module is skipped.
 """
 
 from dataclasses import replace
@@ -51,7 +52,7 @@ def cases(draw, variants=tuple(Variant), bands=tuple(Band), edge_margin=0.0, x1_
         omega_e=omega - band.sign * detuning,
         delta_c=draw(st.floats(-0.2, 0.2, allow_subnormal=False)),
         omega_rabi=draw(_magnitude(0.5)),
-        g=draw(_magnitude(0.4)),
+        g=draw(st.one_of(_magnitude(0.4), st.floats(1e-300, 1e-6))),
         x1=draw(st.integers(4, x1_max)),
     )
     alpha = {Variant.A: 1.0, Variant.B: 0.0}.get(variant)

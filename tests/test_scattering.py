@@ -9,6 +9,7 @@ from sshscatter import (
     EmitterParams,
     Variant,
     WaveguideParams,
+    amplitude_grid,
     band_edges,
     boundary_matched_solve,
     detuning_response,
@@ -396,3 +397,35 @@ class TestNearPole:
                     worst_lattice = max(worst_lattice, abs(r - r_lattice))
         assert worst_flux <= 1e-12
         assert worst_lattice <= 1e-12
+
+
+class TestSubnormalCoupling:
+    """A coupling whose square is subnormal (g below about 1.5e-154).
+
+    At an exact pole hit the amplitudes are those of any g > 0 (t = 0 for
+    single-site coupling), and off it the emitter is transparent to double
+    precision; g^2 itself keeps only a few significant bits there.
+    """
+
+    @pytest.mark.parametrize("variant,alpha", [(Variant.A, 1.0), (Variant.B, 0.0),
+                                               (Variant.AB, 0.2)])
+    @pytest.mark.parametrize("x1", [4, 5])
+    def test_flux_at_and_off_a_pole_hit(self, trivial_chain, variant, alpha, x1):
+        config = CouplingConfig(variant, alpha)
+        tiny = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=3.9e-162, x1=x1)
+        normal = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=0.2, x1=x1)
+        omegas = np.array([1.5, 1.6])
+        in_band, t_grid, r_grid = amplitude_grid(config, omegas, trivial_chain, tiny)
+        assert in_band.all()
+        for omega, t_g, r_g in zip(omegas, t_grid, r_grid):
+            t = transmittance(config, omega, trivial_chain, tiny)
+            r = reflectance(config, omega, trivial_chain, tiny)
+            assert abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) <= 1e-12
+            assert abs(t_g - t) <= 1e-15 and abs(r_g - r) <= 1e-15
+        # the pole hit: every g > 0 gives the same amplitudes
+        t = transmittance(config, 1.5, trivial_chain, tiny)
+        r = reflectance(config, 1.5, trivial_chain, tiny)
+        assert abs(t - transmittance(config, 1.5, trivial_chain, normal)) <= 1e-12
+        assert abs(r - reflectance(config, 1.5, trivial_chain, normal)) <= 1e-12
+        # off the pole the potential is below 1e-300
+        assert abs(transmittance(config, 1.6, trivial_chain, tiny) - 1.0) <= 1e-15
