@@ -118,10 +118,14 @@ def momentum_grid(omega, params: WaveguideParams, band: Band = Band.UPPER):
     omega = np.asarray(omega, dtype=float)
     gap_edge, outer_edge = band_edges(params)
     w = np.abs(omega)
+    in_band = (omega * band.sign > 0.0) & (w > gap_edge) & (w < outer_edge)
+    # divided only between the edges: at delta = +-1 they coincide, so the
+    # zero t1 t2 is never a divisor
     t1, t2 = params.t1, params.t2
-    arg = (w * w - t1 * t1 - t2 * t2) / (2.0 * t1 * t2)
+    arg = np.divide(w * w - t1 * t1 - t2 * t2, 2.0 * t1 * t2,
+                    out=np.full(np.shape(w), 2.0), where=in_band)
     # |arg| < 1 is where acos lands strictly inside (0, pi)
-    in_band = (omega * band.sign > 0.0) & (w > gap_edge) & (w < outer_edge) & (np.abs(arg) < 1)
+    in_band &= np.abs(arg) < 1
     return in_band, np.arccos(arg[in_band])
 
 
@@ -180,7 +184,9 @@ def winding_number(params: WaveguideParams, n_samples: int = 4096) -> int:
     if n_samples < 64:
         raise ValidationError(f"n_samples = {n_samples} too coarse (need >= 64)")
     k = np.linspace(-math.pi, math.pi, n_samples + 1)
-    d = d_vector_grid(k, params)
+    # the loop's winding does not depend on J, and on the J = 1 chain the
+    # phases stay defined where t1 t2 would underflow or overflow
+    d = d_vector_grid(k, WaveguideParams(delta=params.delta))
     dz = d[:, 0] + 1j * d[:, 1]
     increments = np.angle(dz[1:] / dz[:-1])
     nu_raw = float(np.sum(increments)) / (2.0 * math.pi)

@@ -137,11 +137,12 @@ def classify_regime(
     elif emitter.g == 0.0:
         ratio = math.inf
     else:
-        g2 = emitter.g * emitter.g
+        # divided by g twice, not by g^2: g^2 underflows to 0 for g below
+        # about 1e-162, where the ratio should overflow to inf as at g = 0
         ratio = (
-            abs(emitter.omega_rabi)
+            abs(emitter.omega_rabi) / emitter.g / emitter.g
             * 2.0 * params.t1 * params.t2 * abs(sink)
-            / (g2 * bp.omega_k * abs(fac))
+            / (bp.omega_k * abs(fac))
         )
     if ratio < RATIO_LORENTZIAN_MAX:
         label = "lorentzian"

@@ -30,10 +30,12 @@ TOL_WAVEPACKET = 2e-2
 # Carrier/control-field settings for the transport oracle: a detuned, a
 # resonant, and a strongly driven case per coupling variant.  Single-site
 # variants run on the delta = 0.5 chain.  The two-site variant runs on
-# delta = -0.5, where the hybridized modes are broad and ring down within
-# the chain; its resonant case transmits substantially and needs the extra
-# length (on delta = +0.5 the modes are so narrow the stored excitation
-# outlives any chain this size).
+# delta = -0.5, where the hybridized modes are broad and ring down quickly;
+# its resonant case transmits substantially and needs the extra length.  On
+# delta = +0.5 the resonant mode decays so slowly (2 |Im| of the pole about
+# 2.3e-3) that the emitter population does not fall below EMITTER_EMPTY
+# within wavepacket_transport's fixed budget of 64 evolution steps, about
+# 1500 time units, on any chain length; the chain length is not the limit.
 _PACKET_SETTINGS = {
     Variant.A: {"delta": 0.5, "cells_scale": 1.0,
                 "cases": ((1.62, 0.0), (1.5, 0.0), (1.5, 0.4))},

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sshscatter import (
     d_vector,
     group_velocity,
     momentum_from_energy,
+    momentum_grid,
     winding_number,
     zak_phase,
 )
@@ -98,6 +100,14 @@ class TestMomentumInversion:
         assert momentum_from_energy(-1.5, trivial_chain) == momentum_from_energy(
             1.5, trivial_chain
         )
+
+    @pytest.mark.parametrize("delta", [1.0, -1.0])
+    def test_flat_band_grid_is_empty_without_warnings(self, delta):
+        # t1 t2 = 0 at delta = +-1: the band has no interior to divide over
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            in_band, k = momentum_grid(np.linspace(-3.0, 3.0, 13), WaveguideParams(delta=delta))
+        assert not in_band.any() and k.size == 0
 
     def test_band_selector_enforces_sign(self, trivial_chain):
         from sshscatter import Band
@@ -202,6 +212,12 @@ class TestTopology:
     def test_too_few_samples_rejected(self, trivial_chain):
         with pytest.raises(ValidationError):
             winding_number(trivial_chain, 32)
+
+    @pytest.mark.parametrize("delta", [0.5, -0.5, 0.05, -0.9])
+    def test_independent_of_scale(self, delta):
+        # t1 t2 underflows at J = 5e-324 and overflows at 1e300
+        nus = {winding_number(WaveguideParams(delta=delta, J=j)) for j in (5e-324, 1e-300, 1.0, 1e300)}
+        assert nus == {winding_number(WaveguideParams(delta=delta))}
 
 
 def berry_phase_wilson_loop(wg, n_k=512):

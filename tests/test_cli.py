@@ -201,6 +201,21 @@ class TestParamFileAndErrors:
     def test_out_of_range_delta_is_usage_error(self):
         assert run(["winding", "--delta", "1.5"]) == 2
 
+    def test_flat_band_spectrum_is_usage_error_without_warnings(self, capsys):
+        assert run(["spectrum", "--config", "A", "--delta", "1", "--dk-steps", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "no grid point maps into the upper passband" in err
+        assert "Warning" not in err
+
+    def test_underflowing_coupling_poles(self, capsys):
+        assert run(["poles", "--config", "A", "--omega-rabi", "0.2", "--g", "1e-170"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["regime"] == "ats" and payload["ratio"] == "inf"
+
+    def test_subnormal_scale_winding(self, capsys):
+        assert run(["winding", "--delta", "-0.5", "--J", "5e-324"]) == 0
+        assert json.loads(capsys.readouterr().out)["nu"] == 1
+
     def test_empty_sweep_is_usage_error(self):
         assert run([
             "spectrum", "--config", "A", "--omega-e", "0.2",

@@ -1,5 +1,7 @@
 import ast
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from sshscatter import (
     EmitterParams,
     Variant,
     WaveguideParams,
+    band_edges,
+    band_phase,
     bandwidth_averaged_transmission,
     boundary_matched_solve,
     build_hamiltonian,
@@ -23,9 +27,34 @@ from sshscatter import (
 from sshscatter.errors import (
     ChainTooShortError,
     PlacementError,
+    PotentialSingularityError,
     ValidationError,
 )
 from sshscatter.lattice import packet_momentum_weights
+
+
+def dense_reference_solve(omega, n, params, emitter, config, band=Band.UPPER):
+    """(t, r) from the boundary-matched system as first written: unknowns
+    ordered r, interior sites, t, e, a, summed into a dense matrix with
+    np.add.at and solved by np.linalg.solve."""
+    k = momentum_from_energy(omega, params, band)
+    phi_e = band_phase(k, omega, params)
+    ham = build_hamiltonian(n, params, emitter, config)
+    col = np.r_[0, 0, 1 : 2 * n - 3, 2 * n - 3, 2 * n - 3, 2 * n - 2, 2 * n - 1]
+    bloch = np.array([cmath.exp(1j * phi_e), 1.0])
+    factor = np.r_[cmath.exp(-1j * k) * bloch.conj(), np.ones(2 * n - 4),
+                   cmath.exp(1j * k * n) * bloch, 1.0, 1.0]
+    const = np.r_[cmath.exp(1j * k) * bloch, np.zeros(2 * n)]
+    rows, states, vals = ham._entries()
+    keep = (rows != 0) & (rows != 2 * n - 1)
+    vals = (vals - omega * (rows == states))[keep]
+    eqs, states = col[rows[keep]], states[keep]
+    mat = np.zeros((2 * n, 2 * n), dtype=complex)
+    np.add.at(mat, (eqs, col[states]), vals * factor[states])
+    rhs = np.zeros(2 * n, dtype=complex)
+    np.add.at(rhs, eqs, -vals * const[states])
+    sol = np.linalg.solve(mat, rhs)
+    return complex(sol[2 * n - 3]), complex(sol[0])
 
 
 class TestBuildHamiltonian:
@@ -139,8 +168,8 @@ class TestBoundaryMatchedSolve:
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("band", list(Band))
     def test_independent_of_chain_length(self, variant, band):
-        # boundary matching is exact at any length, so N = 32, 128 and 512
-        # must give one answer
+        # boundary matching is exact at any length, so N = 32 (dense LU)
+        # and 128 up to 4096 (band solve) must give one answer
         wg = WaveguideParams(delta=0.35)
         emitter = EmitterParams(
             omega_e=1.42 * band.sign, delta_c=0.06, omega_rabi=0.17, g=0.27, x1=9
@@ -148,13 +177,78 @@ class TestBoundaryMatchedSolve:
         config = CouplingConfig(variant, 0.35)
         sols = [
             boundary_matched_solve(1.55 * band.sign, n, wg, emitter, config, band)
-            for n in (32, 128, 512)
+            for n in (32, 128, 512, 1024, 4096)
         ]
         for sol in sols:
             assert sol.residual < 1e-10
             assert abs(sol.t_num - sols[0].t_num) < 1e-10
             assert abs(sol.r_num - sols[0].r_num) < 1e-10
         assert abs(abs(sols[0].t_num) ** 2 + abs(sols[0].r_num) ** 2 - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("solve", ["crossover", "band_everywhere"])
+    @pytest.mark.parametrize("n", [8, 24, 32, 48, 96, 128])
+    @pytest.mark.parametrize("band", list(Band))
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_matches_dense_reference(self, monkeypatch, variant, band, n, solve):
+        # N = 8 .. 48 lie below the crossover and 96, 128 above it; taking
+        # the band solve everywhere also puts e and a next to either end
+        assert 48 < sshscatter.lattice._BAND_SOLVE_MIN_CELLS <= 96
+        if solve == "band_everywhere":
+            monkeypatch.setattr(sshscatter.lattice, "_BAND_SOLVE_MIN_CELLS", 0)
+        config = CouplingConfig(variant, 0.35)
+        for delta in (0.35, -0.35):
+            wg = WaveguideParams(delta=delta)
+            for x1 in (4, n - 3):
+                emitter = EmitterParams(
+                    omega_e=1.42 * band.sign, delta_c=0.06, omega_rabi=0.17, g=0.27, x1=x1
+                )
+                args = (1.55 * band.sign, n, wg, emitter, config, band)
+                sol = boundary_matched_solve(*args)
+                t_ref, r_ref = dense_reference_solve(*args)
+                assert abs(sol.t_num - t_ref) < 1e-12
+                assert abs(sol.r_num - r_ref) < 1e-12
+                assert sol.residual < 1e-12
+
+    @pytest.mark.parametrize("band", list(Band))
+    @pytest.mark.parametrize("fraction", [1e-8, 1e-4, 1 - 1e-4, 1 - 1e-8])
+    @pytest.mark.parametrize("delta", [0.35, -0.35, 0.05, -0.9])
+    def test_near_band_edges(self, delta, fraction, band):
+        # 1e-8 and 1e-4 of the band width from the gap edge and from the
+        # outer edge, where the incoming and reflected waves nearly coincide
+        wg = WaveguideParams(delta=delta)
+        gap, outer = band_edges(wg)
+        omega = band.sign * (gap + fraction * (outer - gap))
+        emitter = EmitterParams(omega_e=omega, delta_c=0.06, omega_rabi=0.17, g=0.27, x1=9)
+        for variant in Variant:
+            config = CouplingConfig(variant, 0.35)
+            short, long = (
+                boundary_matched_solve(omega, n, wg, emitter, config, band) for n in (32, 512)
+            )
+            assert short.residual < 1e-12
+            assert long.residual < 1e-12
+            assert abs(long.t_num - short.t_num) < 1e-10
+            assert abs(long.r_num - short.r_num) < 1e-10
+
+    @pytest.mark.parametrize("n", [24, 96])
+    @pytest.mark.parametrize("g", [0.0, 0.2])
+    def test_singular_system_raises(self, trivial_chain, config_ab, n, g):
+        # undriven and probed on the metastable level: the row of a is zero
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=g, x1=10)
+        with pytest.raises(PotentialSingularityError):
+            boundary_matched_solve(1.5, n, trivial_chain, emitter, config_ab)
+
+    def test_long_chain_memory(self, trivial_chain, config_ab):
+        # the band solve holds O(N) numbers; the dense matrix at N = 4096
+        # alone would take 1 GB
+        emitter = EmitterParams(omega_e=1.5, delta_c=0.07, omega_rabi=0.23, g=0.3, x1=9)
+        boundary_matched_solve(1.6, 64, trivial_chain, emitter, config_ab)
+        tracemalloc.start()
+        try:
+            boundary_matched_solve(1.6, 4096, trivial_chain, emitter, config_ab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_edge_placement_rejected(self, trivial_chain, config_a):
         emitter = EmitterParams(omega_e=1.5, g=0.2, x1=2)

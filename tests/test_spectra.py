@@ -114,6 +114,15 @@ class TestRegime:
         r2 = classify_regime(config_a, trivial_chain, em2, resonant_k).ratio
         assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
 
+    @pytest.mark.parametrize("g", [1e-170, 1e-300, 5e-324])
+    def test_underflowing_coupling_reads_as_decoupled(self, trivial_chain, config_a, resonant_k, g):
+        # g^2 is 0 below about 1e-162; the ratio overflows as at g = 0
+        decoupled = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.0, x1=5)
+        tiny = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=g, x1=5)
+        out = classify_regime(config_a, trivial_chain, tiny, resonant_k)
+        assert out == classify_regime(config_a, trivial_chain, decoupled, resonant_k)
+        assert out.label == "ats" and out.ratio == math.inf
+
 
 class TestLambShift:
     def test_single_site_unshifted(self, trivial_chain):
