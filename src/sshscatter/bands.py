@@ -37,7 +37,8 @@ class BlochPoint:
 
 @dataclass(frozen=True)
 class DVector:
-    """Pseudospin vector (dx, dy, dz) of the two-band Bloch Hamiltonian."""
+    """Pseudospin vector (dx, dy, dz) of the two-band Bloch Hamiltonian;
+    dx and dy are arrays when taken over an array of momenta."""
 
     dx: float
     dy: float
@@ -58,6 +59,13 @@ def bloch_point(k: float, params: WaveguideParams) -> BlochPoint:
         raise ValidationError(f"k = {k} outside the Brillouin zone (-pi, pi]")
     h = complex(-params.t1 - params.t2 * cmath.exp(-1j * k))
     return BlochPoint(k=k, h=h, phi_k=cmath.phase(h), omega_k=abs(h))
+
+
+def require_dispersive(params: WaveguideParams) -> None:
+    """Raise :class:`BandEdgeError` at delta = +-1, where t1 or t2 is 0 and
+    no momentum propagates (tested on delta: t1 t2 underflows at tiny J)."""
+    if abs(params.delta) == 1.0:
+        raise BandEdgeError(f"delta = {params.delta}: flat bands, no momentum propagates")
 
 
 def band_edges(params: WaveguideParams) -> tuple[float, float]:
@@ -162,11 +170,12 @@ def bloch_eigenvectors(k: float, params: WaveguideParams) -> BlochEigenvectors:
     return BlochEigenvectors(upper=upper, lower=lower)
 
 
-def d_vector(k: float, params: WaveguideParams) -> DVector:
-    """Pseudospin components dx = -t1 - t2 cos k, dy = -t2 sin k, dz = 0."""
+def d_vector(k, params: WaveguideParams) -> DVector:
+    """Pseudospin components dx = -t1 - t2 cos k, dy = -t2 sin k, dz = 0,
+    at a momentum or an array of momenta (then dx and dy are arrays)."""
     return DVector(
-        dx=-params.t1 - params.t2 * math.cos(k),
-        dy=-params.t2 * math.sin(k),
+        dx=-params.t1 - params.t2 * np.cos(k),
+        dy=-params.t2 * np.sin(k),
         dz=0.0,
     )
 
@@ -186,8 +195,8 @@ def winding_number(params: WaveguideParams, n_samples: int = 4096) -> int:
     k = np.linspace(-math.pi, math.pi, n_samples + 1)
     # the loop's winding does not depend on J, and on the J = 1 chain the
     # phases stay defined where t1 t2 would underflow or overflow
-    d = d_vector_grid(k, WaveguideParams(delta=params.delta))
-    dz = d[:, 0] + 1j * d[:, 1]
+    d = d_vector(k, WaveguideParams(delta=params.delta))
+    dz = d.dx + 1j * d.dy
     increments = np.angle(dz[1:] / dz[:-1])
     nu_raw = float(np.sum(increments)) / (2.0 * math.pi)
     nu = round(nu_raw)
@@ -204,15 +213,9 @@ def zak_phase(params: WaveguideParams, n_samples: int = 4096) -> float:
 
 
 def dispersion_grid(k, params: WaveguideParams):
-    """Vectorized upper-band energy over an array of momenta."""
+    """Vectorized upper-band energy J sqrt(a^2 + b^2 + 2ab cos k), with
+    a = 1 + delta and b = 1 - delta, over an array of momenta; in units of
+    J, t1^2 can neither overflow nor underflow."""
     k = np.asarray(k, dtype=float)
-    t1, t2 = params.t1, params.t2
-    return np.sqrt(t1 * t1 + t2 * t2 + 2.0 * t1 * t2 * np.cos(k))
-
-
-def d_vector_grid(k, params: WaveguideParams):
-    """Vectorized (dx, dy) columns over an array of momenta."""
-    k = np.asarray(k, dtype=float)
-    return np.column_stack(
-        (-params.t1 - params.t2 * np.cos(k), -params.t2 * np.sin(k))
-    )
+    a, b = 1.0 + params.delta, 1.0 - params.delta
+    return params.J * np.sqrt(a * a + b * b + 2.0 * a * b * np.cos(k))

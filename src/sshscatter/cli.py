@@ -215,9 +215,9 @@ def _cmd_bands(args):
     wg = bundle.waveguide
     ks = np.linspace(-math.pi, math.pi, args.k_steps)
     omega = band_ops.dispersion_grid(ks, wg)
-    d = band_ops.d_vector_grid(ks, wg)
+    d = band_ops.d_vector(ks, wg)
     header = ["k", "omega_upper", "omega_lower", "dx", "dy"]
-    return header, [ks, omega, -omega, d[:, 0], d[:, 1]], None, "csv"
+    return header, [ks, omega, -omega, d.dx, d.dy], None, "csv"
 
 
 def _cmd_winding(args):

@@ -31,7 +31,8 @@ class OutOfBandError(ModelError):
 
 
 class BandEdgeError(ModelError):
-    """Energy sits exactly on a band edge where sin(k) = 0."""
+    """Energy sits exactly on a band edge where sin(k) = 0, or the chain is
+    flat-band (delta = +-1) and every energy is an edge."""
 
 
 class UndefinedWindingError(ModelError):

@@ -34,7 +34,7 @@ from .errors import (
     PotentialSingularityError,
     ValidationError,
 )
-from .params import Band, CouplingConfig, EmitterParams, Variant, WaveguideParams
+from .params import Band, CouplingConfig, EmitterParams, WaveguideParams
 
 #: population threshold below which the emitter counts as empty
 EMITTER_EMPTY = 1e-6
@@ -58,7 +58,9 @@ class LatticeHamiltonian:
     """Single-excitation Hamiltonian on the basis [A1, B1, ..., AN, BN, e, a],
     stored as its diagonal ``onsite``, the ``bonds`` between neighbors in
     that order (-t1/-t2 alternating, 0 from BN to e, Omega/2 from e to a),
-    and the ``couplings`` of e to the one or two ``sites`` of cell ``x1``."""
+    and the ``couplings`` (g1, g2) of e to the two ``sites`` of cell ``x1``.
+    Single-site variants are alpha = 1 or 0: one of the couplings is exactly
+    0 and contributes nothing."""
 
     onsite: np.ndarray
     bonds: np.ndarray
@@ -144,13 +146,9 @@ def build_hamiltonian(
     bonds[0 : 2 * n : 2] = -params.t1
     bonds[1 : 2 * n - 1 : 2] = -params.t2
     bonds[2 * n] = emitter.omega_rabi / 2.0
-    g1, g2 = config.couplings(emitter.g)
-    sites, couplings = {
-        Variant.A: ([2 * x1 - 2], [g1]),
-        Variant.B: ([2 * x1 - 1], [g2]),
-        Variant.AB: ([2 * x1 - 2, 2 * x1 - 1], [g1, g2]),
-    }[config.variant]
-    return LatticeHamiltonian(onsite, bonds, np.array(sites), np.array(couplings), n, x1, config)
+    sites = np.array([2 * x1 - 2, 2 * x1 - 1])
+    couplings = np.array(config.couplings(emitter.g))
+    return LatticeHamiltonian(onsite, bonds, sites, couplings, n, x1, config)
 
 
 def boundary_matched_solve(

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import bloch_point, momentum_from_energy, momentum_grid
+from .bands import bloch_point, momentum_from_energy, momentum_grid, require_dispersive
 from .errors import DegenerateDenominatorError, PotentialSingularityError
-from .params import Band, CouplingConfig, EmitterParams, Variant, WaveguideParams
+from .params import Band, CouplingConfig, EmitterParams, WaveguideParams
 
 # Absolute threshold (units J^2, with J = 1) below which the potential
 # denominator counts as an exact pole hit.
@@ -136,16 +136,6 @@ def effective_potential(
     )
 
 
-def _single_site_transfer(variant, k, phi_e, value, x1, t1, t2):
-    if variant is Variant.A:
-        w = value / (2j * t2 * math.sin(k + phi_e))
-        ph = cmath.exp(2j * (k * x1 + phi_e))
-        return TransferMatrix(1.0 + w, w / ph, -w * ph, 1.0 - w)
-    w = value / (2j * t1 * math.sin(phi_e))
-    ph = cmath.exp(2j * k * x1)
-    return TransferMatrix(1.0 - w, -w / ph, w * ph, 1.0 + w)
-
-
 def ab_transfer_factors(
     k: float,
     phi_e: float,
@@ -191,10 +181,17 @@ def transfer_matrix(
 ) -> TransferMatrix:
     """Transfer matrix across the emitter at momentum k on the given band.
 
-    Propagates :class:`PotentialSingularityError` at potential poles and
-    raises :class:`DegenerateDenominatorError` for the two-site coupling
-    when t1 equals the cross potential.
+    Every variant is the product B-step @ A-step of
+    :func:`ab_transfer_factors`.  Single-site couplings A and B are its
+    alpha = 1 and alpha = 0 cases: at alpha = 1 the B step is exactly the
+    identity, at alpha = 0 the A step is, and the remaining step equals the
+    single-site matrix because t2 sin(k + phi_E) = -t1 sin phi_E.
+    Raises :class:`BandEdgeError` on the flat-band chain (delta = +-1),
+    propagates :class:`PotentialSingularityError` at potential poles and
+    raises :class:`DegenerateDenominatorError` when t1 equals the cross
+    potential.
     """
+    require_dispersive(params)
     bp = bloch_point(k, params)
     energy = band.sign * bp.omega_k
     phi_e = cmath.phase(bp.h / energy)
@@ -202,13 +199,11 @@ def transfer_matrix(
         energy - emitter.omega_e, emitter.delta_c, emitter.omega_rabi,
         emitter.g, config.alpha,
     )
-    if config.variant is not Variant.AB:
-        return _single_site_transfer(
-            config.variant, k, phi_e, pot.value, emitter.x1, params.t1, params.t2
-        )
-    step_a, step_b = ab_transfer_factors(k, phi_e, pot, emitter.x1, params)
-    total = step_b.as_array() @ step_a.as_array()
-    return TransferMatrix(total[0, 0], total[0, 1], total[1, 0], total[1, 1])
+    a, b = ab_transfer_factors(k, phi_e, pot, emitter.x1, params)
+    return TransferMatrix(
+        b.t11 * a.t11 + b.t12 * a.t21, b.t11 * a.t12 + b.t12 * a.t22,
+        b.t21 * a.t11 + b.t22 * a.t21, b.t21 * a.t12 + b.t22 * a.t22,
+    )
 
 
 def scattering_matrix(u: TransferMatrix) -> ScatteringMatrix:

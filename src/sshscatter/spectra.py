@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import bloch_point
+from .bands import bloch_point, require_dispersive
 from .errors import (
     BandEdgeError,
     EmptyGridError,
@@ -80,6 +80,7 @@ class LineshapeFeature:
 
 
 def _pole_strength(config, params, emitter, k):
+    require_dispersive(params)
     bp = bloch_point(k, params)
     sink = math.sin(k)
     if sink == 0.0:

@@ -15,14 +15,14 @@ from .lattice import (
     packet_momentum_weights,
     wavepacket_transport,
 )
-from .params import (
-    Band,
-    CouplingConfig,
-    EmitterParams,
-    Variant,
-    WaveguideParams,
+from .params import Band, CouplingConfig, EmitterParams, Variant, WaveguideParams
+from .scattering import (
+    amplitude_grid,
+    effective_potential,
+    scattering_matrix,
+    transfer_matrix,
+    transmittance,
 )
-from .scattering import amplitude_grid, scattering_matrix, transfer_matrix, transmittance
 
 TOL_AGREEMENT = 1e-10
 TOL_WAVEPACKET = 2e-2
@@ -82,12 +82,8 @@ def _draw_case(rng, variant):
         delta_c = float(rng.uniform(-0.2, 0.2))
         omega_rabi = float(rng.uniform(0.0, 0.5))
         g = float(rng.uniform(0.05, 0.4))
-        if variant is Variant.A:
-            alpha = 1.0
-        elif variant is Variant.B:
-            alpha = 0.0
-        else:
-            alpha = float(rng.uniform(0.15, 0.85))
+        # A and B take their pinned alpha = 1 and 0
+        alpha = float(rng.uniform(0.15, 0.85)) if variant is Variant.AB else None
         x1 = int(rng.integers(4, 12))
         emitter = EmitterParams(
             omega_e=omega_e, delta_c=delta_c, omega_rabi=omega_rabi, g=g, x1=x1
@@ -99,11 +95,9 @@ def _draw_case(rng, variant):
         den = 4.0 * dk * (dk + delta_c) - omega_rabi * omega_rabi
         if omega_rabi > 0.0 and abs(den) < 1e-4:
             continue
-        if variant is Variant.AB:
-            resp = (dk + delta_c) / den if omega_rabi > 0.0 else 1.0 / (4.0 * dk)
-            cross = 4.0 * g * g * alpha * (1.0 - alpha) * resp
-            if abs(wg.t1 - cross) < 1e-3 * wg.t1:
-                continue
+        cross = effective_potential(dk, delta_c, omega_rabi, g, config.alpha).cross
+        if abs(wg.t1 - cross) < 1e-3 * wg.t1:
+            continue
         return wg, emitter, config, omega
 
 

@@ -17,7 +17,7 @@ from sshscatter import (
     winding_number,
     zak_phase,
 )
-from sshscatter.bands import d_vector_grid, dispersion_grid
+from sshscatter.bands import dispersion_grid
 from sshscatter.errors import (
     BandEdgeError,
     DegenerateEigenvectorError,
@@ -62,6 +62,16 @@ class TestDispersion:
         k = np.linspace(0.0, math.pi, 300)
         w = dispersion_grid(k, trivial_chain)
         assert np.all(np.diff(w) < 0.0)
+
+    @pytest.mark.parametrize("J", [1e-300, 1e-170, 1.0, 1e170, 1e300])
+    @pytest.mark.parametrize("delta", [-0.5, 0.05, 0.9])
+    def test_grid_scales_with_J_over_the_exponent_range(self, J, delta):
+        # t1^2 overflows at J = 1e300 and underflows at J = 1e-170; the
+        # energy in units of J must not
+        k = np.linspace(-math.pi, math.pi, 257)
+        unit = dispersion_grid(k, WaveguideParams(delta=delta))
+        scaled = dispersion_grid(k, WaveguideParams(delta=delta, J=J)) / J
+        np.testing.assert_allclose(scaled, unit, rtol=1e-15, atol=0.0)
 
     def test_out_of_zone_rejected(self, trivial_chain):
         with pytest.raises(ValidationError):
@@ -183,9 +193,9 @@ class TestDVector:
 
     def test_norm_equals_dispersion(self, trivial_chain):
         k = np.linspace(-math.pi, math.pi, 257)
-        d = d_vector_grid(k, trivial_chain)
+        d = d_vector(k, trivial_chain)
         np.testing.assert_allclose(
-            np.hypot(d[:, 0], d[:, 1]),
+            np.hypot(d.dx, d.dy),
             dispersion_grid(k, trivial_chain),
             atol=1e-12,
         )

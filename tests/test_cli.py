@@ -98,6 +98,17 @@ class TestBandsCommand:
             assert math.hypot(float(row[3]), float(row[4])) == pytest.approx(w_up, abs=1e-10)
 
 
+    @pytest.mark.parametrize("J", ["1e300", "1e-170"])
+    def test_extreme_scale_energies(self, capsys, J):
+        # t1^2 overflows at J = 1e300 and underflows at J = 1e-170
+        assert run(["bands", "--delta", "0.5", "--J", J, "--k-steps", "41"]) == 0
+        captured = capsys.readouterr()
+        assert "Warning" not in captured.err
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        w_up = np.array([float(row[1]) for row in rows]) / float(J)
+        assert np.all((w_up >= 1.0 - 1e-12) & (w_up <= 2.0 + 1e-12))
+
+
 class TestPolesCommand:
     def test_payload_fields(self, tmp_path):
         out = tmp_path / "poles.json"

@@ -2,6 +2,7 @@ import ast
 import cmath
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +100,21 @@ class TestBuildHamiltonian:
         rng = np.random.default_rng(x1)
         psi = rng.normal(size=ham.dim) + 1j * rng.normal(size=ham.dim)
         np.testing.assert_allclose(ham.apply(psi), ham.matrix @ psi, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("variant,site", [(Variant.A, 0), (Variant.B, 1)])
+    @pytest.mark.parametrize("x1", [1, 5, 12])
+    def test_single_site_is_one_coupling_entry(self, topological_chain, variant, site, x1):
+        # A and B couple both sites of cell x1 with (g, 0) and (0, g); the
+        # zero coupling must leave the matrix exactly as one entry would
+        emitter = EmitterParams(omega_e=1.5, delta_c=0.07, omega_rabi=0.3, g=0.2, x1=x1)
+        ham = build_hamiltonian(12, topological_chain, emitter, CouplingConfig(variant))
+        ref = np.zeros((26, 26))
+        i = np.arange(23)
+        ref[i, i + 1] = ref[i + 1, i] = np.where(i % 2, -topological_chain.t2, -topological_chain.t1)
+        ref[24, 24], ref[25, 25] = emitter.omega_e, emitter.omega_a
+        ref[24, 25] = ref[25, 24] = emitter.omega_rabi / 2.0
+        ref[24, 2 * x1 - 2 + site] = ref[2 * x1 - 2 + site, 24] = emitter.g
+        assert np.array_equal(ham.matrix, ref)
 
     def test_placement_outside_chain_rejected(self, trivial_chain, config_a):
         emitter = EmitterParams(omega_e=1.5, g=0.2, x1=21)
@@ -357,7 +373,7 @@ class TestWavepacket:
 def test_oracle_does_not_import_scattering_code():
     # the lattice oracle must stay an independent route: no imports from the
     # transfer-matrix / closed-form module
-    source = ast.parse(open(sshscatter.lattice.__file__, encoding="utf-8").read())
+    source = ast.parse(Path(sshscatter.lattice.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(source):
         if isinstance(node, ast.Import):

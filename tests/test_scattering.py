@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -11,16 +12,21 @@ from sshscatter import (
     WaveguideParams,
     amplitude_grid,
     band_edges,
+    band_phase,
+    bloch_point,
     boundary_matched_solve,
+    classify_regime,
     detuning_response,
     effective_potential,
     momentum_from_energy,
+    poles,
     reflectance,
     scattering_matrix,
     transfer_matrix,
     transmittance,
 )
 from sshscatter.errors import (
+    BandEdgeError,
     DegenerateDenominatorError,
     OutOfBandError,
     PotentialSingularityError,
@@ -145,6 +151,95 @@ class TestTransferMatrix:
         step_a, step_b = ab_transfer_factors(k, phi_e, pot, 4, trivial_chain)
         assert abs(step_a.det * step_b.det - 1.0) < 1e-12
         assert abs(step_a.det - 1.0) > 1e-6  # individually non-unimodular
+
+
+def single_site_transfer(variant, k, phi_e, value, x1, t1, t2):
+    """Reference: the single-site transfer matrices, each written on its own."""
+    if variant is Variant.A:
+        w = value / (2j * t2 * math.sin(k + phi_e))
+        ph = cmath.exp(2j * (k * x1 + phi_e))
+        return TransferMatrix(1.0 + w, w / ph, -w * ph, 1.0 - w)
+    w = value / (2j * t1 * math.sin(phi_e))
+    ph = cmath.exp(2j * k * x1)
+    return TransferMatrix(1.0 - w, -w / ph, w * ph, 1.0 + w)
+
+
+class TestSingleSiteAsTwoSiteProduct:
+    @pytest.mark.parametrize("band", [Band.UPPER, Band.LOWER])
+    @pytest.mark.parametrize("variant", [Variant.A, Variant.B])
+    def test_matches_single_site_reference(self, variant, band):
+        # A and B run through the two-step product at alpha = 1 and 0; each
+        # entry must match the single-site formula to rounding.  Energies are
+        # drawn inside the band as in random_case: at the band edges sin phi_E
+        # vanishes and both formulas lose digits.
+        rng = np.random.default_rng(31)
+        config = CouplingConfig(variant)
+        worst, signs = 0.0, set()
+        for _ in range(400):
+            delta = float(rng.uniform(0.15, 0.7)) * (1.0 if rng.random() < 0.5 else -1.0)
+            wg = WaveguideParams(delta=delta)
+            gap, outer = band_edges(wg)
+            fraction = float(rng.uniform(0.08, 0.92))
+            k = momentum_from_energy(band.sign * (gap + fraction * (outer - gap)), wg, band)
+            # the energy transfer_matrix itself reads off k, to the last bit
+            energy = band.sign * bloch_point(k, wg).omega_k
+            emitter = EmitterParams(
+                omega_e=energy - float(rng.uniform(-0.3, 0.3)),
+                delta_c=float(rng.uniform(-0.2, 0.2)),
+                omega_rabi=float(rng.uniform(0.0, 0.5)),
+                g=float(rng.uniform(0.05, 0.4)),
+                x1=int(rng.integers(1, 41)),
+            )
+            try:
+                value = effective_potential(
+                    energy - emitter.omega_e, emitter.delta_c, emitter.omega_rabi, emitter.g
+                ).value
+            except PotentialSingularityError:
+                continue
+            ref = single_site_transfer(
+                variant, k, band_phase(k, energy, wg), value, emitter.x1, wg.t1, wg.t2
+            ).as_array()
+            got = transfer_matrix(config, k, wg, emitter, band).as_array()
+            worst = max(worst, float(np.max(np.abs(got - ref) / np.abs(ref))))
+            signs.add(delta > 0)
+        assert signs == {True, False}
+        assert worst < 1e-13
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.0])
+    def test_spectator_step_is_identity(self, trivial_chain, alpha):
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.13, g=0.2, x1=5)
+        k = momentum_from_energy(1.62, trivial_chain)
+        pot = effective_potential(0.12, 0.0, 0.13, 0.2, alpha)
+        steps = ab_transfer_factors(
+            k, band_phase(k, 1.62, trivial_chain), pot, emitter.x1, trivial_chain
+        )
+        spectator = steps[1] if alpha == 1.0 else steps[0]
+        assert np.array_equal(spectator.as_array(), np.eye(2))
+
+
+class TestFlatBandChain:
+    # at delta = +-1 t1 or t2 vanishes and no momentum propagates; every
+    # function that takes k directly must say so with a typed error
+    @pytest.mark.parametrize("delta", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "config",
+        [CouplingConfig(Variant.A), CouplingConfig(Variant.B), CouplingConfig(Variant.AB, 0.3)],
+        ids=["A", "B", "AB"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c, wg, em: transfer_matrix(c, 1.0, wg, em),
+            lambda c, wg, em: poles(c, wg, em, 1.0),
+            lambda c, wg, em: classify_regime(c, wg, em, 1.0),
+        ],
+        ids=["transfer_matrix", "poles", "classify_regime"],
+    )
+    def test_typed_error_names_delta(self, call, config, delta):
+        wg = WaveguideParams(delta=delta)
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=5)
+        with pytest.raises(BandEdgeError, match=r"delta = -?1\.0"):
+            call(config, wg, emitter)
 
 
 class TestScatteringMatrix:
