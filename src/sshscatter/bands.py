@@ -61,11 +61,14 @@ def bloch_point(k: float, params: WaveguideParams) -> BlochPoint:
     return BlochPoint(k=k, h=h, phi_k=cmath.phase(h), omega_k=abs(h))
 
 
-def require_dispersive(params: WaveguideParams) -> None:
-    """Raise :class:`BandEdgeError` at delta = +-1, where t1 or t2 is 0 and
-    no momentum propagates (tested on delta: t1 t2 underflows at tiny J)."""
+def require_dispersive(params: WaveguideParams, k: float) -> None:
+    """Raise :class:`BandEdgeError` where nothing propagates at momentum k:
+    on the flat bands of delta = +-1 (tested on delta: t1 t2 underflows at
+    tiny J) and at the band edges k = 0, pi, where sin k = 0."""
     if abs(params.delta) == 1.0:
         raise BandEdgeError(f"delta = {params.delta}: flat bands, no momentum propagates")
+    if k == 0.0 or k == math.pi:
+        raise BandEdgeError(f"k = {k} is a band edge: sin k = 0, no momentum propagates")
 
 
 def band_edges(params: WaveguideParams) -> tuple[float, float]:
@@ -83,58 +86,64 @@ def band_phase(k: float, energy: float, params: WaveguideParams) -> float:
     return cmath.phase(bloch_point(k, params).h / energy)
 
 
+def _band_cos(omega, params: WaveguideParams, sign):
+    """The one in-band test: ``(in_band, cos k)`` at signed energy ``omega``
+    on the band of sign ``sign``; Python scalars for a float, else arrays.
+
+    cos k = ((|omega|/J)^2 - a^2 - b^2) / (2ab), a = 1 + delta, b = 1 - delta,
+    is in units of J, where no product of hoppings can leave the range of
+    doubles.  In band: the right sign, strictly between the band edges and
+    |cos k| < 1 (acos strictly inside (0, pi)).  At delta = +-1 the edges
+    meet and 2ab is 0: nothing is in band.
+    """
+    gap_edge, outer_edge = band_edges(params)
+    w = abs(omega)
+    a, b = 1.0 + params.delta, 1.0 - params.delta
+    x = w / params.J
+    cos_k = (x * x - a * a - b * b) / (2.0 * a * b or math.inf)
+    return (omega * sign > 0.0) & (w > gap_edge) & (w < outer_edge) & (abs(cos_k) < 1.0), cos_k
+
+
 def momentum_from_energy(
     omega: float, params: WaveguideParams, band: Band | None = None
 ) -> float:
     """Invert the dispersion: momentum k in (0, pi) with omega_k(k) = |omega|.
 
     Passing ``band`` additionally enforces that the sign of ``omega``
-    matches the selected branch.  Raises :class:`OutOfBandError` (code
-    ``"gap"`` or ``"beyond_edge"``) for non-propagating energies and
-    :class:`BandEdgeError` exactly on an edge, where sin(k) = 0 makes every
-    scattering denominator degenerate.
+    matches the selected branch.  The in-band test is :func:`_band_cos`,
+    in units of J; only an energy it rejects is sorted by cause:
+    :class:`ValidationError` for the wrong sign, :class:`OutOfBandError`
+    (code ``"gap"`` or ``"beyond_edge"``) for a non-propagating energy and
+    :class:`BandEdgeError` on an edge, exactly or to rounding, where
+    sin(k) = 0 makes every scattering denominator degenerate.
     """
+    in_band, cos_k = _band_cos(omega, params, band.sign if band else math.copysign(1.0, omega))
+    if in_band:
+        return math.acos(cos_k)
     if band is not None and omega * band.sign <= 0.0:
-        raise ValidationError(
-            f"omega = {omega} has the wrong sign for the {band.value} band"
-        )
+        raise ValidationError(f"omega = {omega} has the wrong sign for the {band.value} band")
     gap_edge, outer_edge = band_edges(params)
     w = abs(omega)
-    if w == gap_edge or w == outer_edge:
-        raise BandEdgeError(f"|omega| = {w} sits exactly on a band edge")
     if w < gap_edge:
-        raise OutOfBandError(
-            f"|omega| = {w} lies in the band gap (< {gap_edge})", code="gap"
-        )
+        raise OutOfBandError(f"|omega| = {w} lies in the band gap (< {gap_edge})", code="gap")
     if w > outer_edge:
         raise OutOfBandError(
             f"|omega| = {w} lies beyond the outer band edge (> {outer_edge})",
             code="beyond_edge",
         )
-    t1, t2 = params.t1, params.t2
-    arg = (w * w - t1 * t1 - t2 * t2) / (2.0 * t1 * t2)
-    k = math.acos(max(-1.0, min(1.0, arg)))
-    if k == 0.0 or k == math.pi:
-        raise BandEdgeError(f"|omega| = {w} is numerically indistinguishable from a band edge")
-    return k
+    raise BandEdgeError(f"|omega| = {w} sits on a band edge, exactly or to rounding")
 
 
 def momentum_grid(omega, params: WaveguideParams, band: Band = Band.UPPER):
     """Array counterpart of :func:`momentum_from_energy`: ``(in_band, k)``,
     the mask of the energies at which it would return rather than raise,
-    and the momenta in (0, pi) at those energies only."""
-    omega = np.asarray(omega, dtype=float)
-    gap_edge, outer_edge = band_edges(params)
-    w = np.abs(omega)
-    in_band = (omega * band.sign > 0.0) & (w > gap_edge) & (w < outer_edge)
-    # divided only between the edges: at delta = +-1 they coincide, so the
-    # zero t1 t2 is never a divisor
-    t1, t2 = params.t1, params.t2
-    arg = np.divide(w * w - t1 * t1 - t2 * t2, 2.0 * t1 * t2,
-                    out=np.full(np.shape(w), 2.0), where=in_band)
-    # |arg| < 1 is where acos lands strictly inside (0, pi)
-    in_band &= np.abs(arg) < 1
-    return in_band, np.arccos(arg[in_band])
+    and the momenta in (0, pi) at those energies only, from the same
+    :func:`_band_cos`."""
+    # far out of band (|omega|/J)^2 overflows to inf (at delta = +-1, inf/inf
+    # to nan): both read as out of band
+    with np.errstate(over="ignore", invalid="ignore"):
+        in_band, cos_k = _band_cos(np.asarray(omega, dtype=float), params, band.sign)
+    return in_band, np.arccos(cos_k[in_band])
 
 
 def group_velocity(k: float, params: WaveguideParams) -> float:

@@ -106,26 +106,6 @@ class ModelParams:
     coupling: CouplingConfig
     notes: tuple[str, ...] = ()
 
-    @property
-    def t1(self) -> float:
-        return self.waveguide.t1
-
-    @property
-    def t2(self) -> float:
-        return self.waveguide.t2
-
-    @property
-    def omega_a(self) -> float:
-        return self.emitter.omega_a
-
-    @property
-    def g1(self) -> float:
-        return self.coupling.couplings(self.emitter.g)[0]
-
-    @property
-    def g2(self) -> float:
-        return self.coupling.couplings(self.emitter.g)[1]
-
 
 def validate(
     params: WaveguideParams,

@@ -28,13 +28,13 @@ from .bands import bloch_point, momentum_from_energy, momentum_grid, require_dis
 from .errors import DegenerateDenominatorError, PotentialSingularityError
 from .params import Band, CouplingConfig, EmitterParams, WaveguideParams
 
-# Absolute threshold (units J^2, with J = 1) below which the potential
-# denominator counts as an exact pole hit.
+# Threshold in units of J^2 (the closed forms work in units of J) below
+# which the potential denominator counts as an exact pole hit.
 _POLE_EPS = 1e-14
 
-# At a pole hit, couplings below this are solved at g = 1 (see
-# _cell_amplitudes): g^2 and the products built on it would underflow there
-# and lose their digits.
+# At a pole hit, couplings below this (in units of J) are solved at g = J
+# (see _cell_amplitudes): g^2 and the products built on it would underflow
+# there and lose their digits.
 _G_TINY = 1e-100
 
 
@@ -186,12 +186,12 @@ def transfer_matrix(
     alpha = 1 and alpha = 0 cases: at alpha = 1 the B step is exactly the
     identity, at alpha = 0 the A step is, and the remaining step equals the
     single-site matrix because t2 sin(k + phi_E) = -t1 sin phi_E.
-    Raises :class:`BandEdgeError` on the flat-band chain (delta = +-1),
-    propagates :class:`PotentialSingularityError` at potential poles and
-    raises :class:`DegenerateDenominatorError` when t1 equals the cross
-    potential.
+    Raises :class:`BandEdgeError` on the flat-band chain (delta = +-1) and
+    at k = 0, pi, propagates :class:`PotentialSingularityError` at potential
+    poles and raises :class:`DegenerateDenominatorError` when t1 equals the
+    cross potential.
     """
-    require_dispersive(params)
+    require_dispersive(params, k)
     bp = bloch_point(k, params)
     energy = band.sign * bp.omega_k
     phi_e = cmath.phase(bp.h / energy)
@@ -230,31 +230,33 @@ def interference_factor(phi_e: float, alpha: float) -> complex:
     return 2.0 * alpha * (1.0 - alpha) * (cmath.exp(-1j * phi_e) - 1.0) + 1.0
 
 
-def _potential_terms(delta_k, emitter):
-    """(num, den) with V = 4 g^2 num / den; floats or arrays of ``delta_k``.
-
-    ``den`` snaps to 0 at an exact pole hit, ``|den| < _POLE_EPS``, unless
-    ``num`` vanishes too (there V is zero, not singular).
+def _potential_terms(delta_k, delta_c, omega_rabi, g):
+    """(num, den) with V = 4 g^2 num / den, all in units of J; floats or
+    arrays of ``delta_k``.  ``den`` snaps to 0 at an exact pole hit,
+    ``|den| < _POLE_EPS``, unless ``num`` vanishes too (V = 0 there).
     """
-    if emitter.g == 0.0:
+    if g == 0.0:
         # a decoupled emitter has no potential, and so no pole either
         return 0.0, 1.0
-    if emitter.omega_rabi == 0.0:
+    if omega_rabi == 0.0:
         # the metastable level decouples: V = g^2 / delta_k
         num, den = 0.25, delta_k
     else:
-        num = delta_k + emitter.delta_c
-        den = 4.0 * delta_k * num - emitter.omega_rabi * emitter.omega_rabi
+        num = delta_k + delta_c
+        den = 4.0 * delta_k * num - omega_rabi * omega_rabi
     return num, den * ((abs(den) >= _POLE_EPS) | (num == 0.0))
 
 
 def _cell_amplitudes(config, energy, h, phase, params, emitter):
     """Closed-form (t, r) at signed energy ``energy``; floats or arrays.
 
-    ``h`` is h(k) at the photon's momentum and ``phase`` is exp(2i k x1).
-    With V = 4 g^2 num/den the coupling cell's two equations of motion
-    plus the emitter's ``den c = 4 num (g1 u_A + g2 u_B)`` (its amplitude
-    c kept as a third unknown) solve to
+    ``h`` is h(k)/J = -(1 + delta) - (1 - delta) exp(-ik) at the photon's
+    momentum and ``phase`` is exp(2i k x1).  Every other energy is divided
+    by J once (t1/J = 1 + delta): in units of J no product of energies
+    leaves the range of doubles, and at J = 2^n t and r equal the J = 1
+    answer exactly.  With V = 4 g^2 num/den the coupling cell's two
+    equations of motion plus the emitter's ``den c = 4 num (g1 u_A + g2 u_B)``
+    (its amplitude c kept as a third unknown) solve to
 
         D = (h - h*) t1 den + 4 num [E (g1^2 + g2^2) + 2 g1 g2 h*]
         t = (h - h*) (t1 den - 4 num g1 g2) / D
@@ -264,16 +266,19 @@ def _cell_amplitudes(config, energy, h, phase, params, emitter):
     expression covers finite potentials, their poles (den = 0) and every
     coupling geometry.
     """
-    g1, g2 = config.couplings(emitter.g)
-    num, den = _potential_terms(energy - emitter.omega_e, emitter)
-    if 0.0 < emitter.g < _G_TINY:
+    j = params.J
+    g, delta_c, omega_rabi = emitter.g / j, emitter.delta_c / j, emitter.omega_rabi / j
+    num, den = _potential_terms((energy - emitter.omega_e) / j, delta_c, omega_rabi, g)
+    energy = energy / j
+    g1, g2 = config.couplings(g)
+    if 0.0 < g < _G_TINY:
         # t and r depend on g only through den / g^2, which is 0 at a pole
-        # hit whatever g is: solve those points at g = 1
-        g1, g2 = config.couplings(np.where(den == 0.0, 1.0, emitter.g))
+        # hit whatever g is: solve those points at g = J
+        g1, g2 = config.couplings(np.where(den == 0.0, 1.0, g))
     h_conj = h.conjugate()
     s = h - h_conj
     c = 4.0 * num
-    x = params.t1 * den
+    x = (1.0 + params.delta) * den
     d = s * x + c * (energy * (g1 * g1 + g2 * g2) + 2.0 * g1 * g2 * h_conj)
     b = g1 * h + g2 * energy
     # d is 0 only where both the potential's denominator and its numerator
@@ -286,7 +291,7 @@ def _cell_amplitudes(config, energy, h, phase, params, emitter):
 
 def _point_amplitudes(config, omega, params, emitter, band):
     k = momentum_from_energy(omega, params, band)
-    h = -params.t1 - params.t2 * cmath.exp(-1j * k)
+    h = -(1.0 + params.delta) - (1.0 - params.delta) * cmath.exp(-1j * k)
     phase = cmath.exp(2j * k * emitter.x1)
     return _cell_amplitudes(config, omega, h, phase, params, emitter)
 
@@ -345,7 +350,7 @@ def amplitude_grid(
     """
     omega = np.asarray(omega, dtype=float)
     in_band, k = momentum_grid(omega, params, band)
-    h = -params.t1 - params.t2 * np.exp(-1j * k)
+    h = -(1.0 + params.delta) - (1.0 - params.delta) * np.exp(-1j * k)
     phase = np.exp(2j * k * emitter.x1)
     t, r = _cell_amplitudes(config, omega[in_band], h, phase, params, emitter)
     return in_band, t, r

@@ -19,7 +19,6 @@ import numpy as np
 
 from .bands import bloch_point, require_dispersive
 from .errors import (
-    BandEdgeError,
     EmptyGridError,
     UnsupportedFeatureError,
     ValidationError,
@@ -80,14 +79,15 @@ class LineshapeFeature:
 
 
 def _pole_strength(config, params, emitter, k):
-    require_dispersive(params)
+    """(s, F, omega_k, sin k, g) with s, omega_k and g in units of J."""
+    require_dispersive(params, k)
     bp = bloch_point(k, params)
     sink = math.sin(k)
-    if sink == 0.0:
-        raise BandEdgeError(f"sin k = 0 at k = {k}; pole analysis undefined")
     fac = interference_factor(bp.phi_k, config.alpha)
-    g2 = emitter.g * emitter.g
-    return g2 * bp.omega_k * fac / (4.0 * params.t1 * params.t2 * sink), fac, bp, sink
+    g = emitter.g / params.J
+    omega_k = bp.omega_k / params.J
+    a, b = 1.0 + params.delta, 1.0 - params.delta
+    return g * g * omega_k * fac / (4.0 * a * b * sink), fac, omega_k, sink, g
 
 
 def poles(
@@ -102,13 +102,15 @@ def poles(
     radicals: ``dk = i s +/- sqrt(Omega^2/4 - s^2)`` with the complex
     strength ``s = g^2 omega_k F / (4 t1 t2 sin k)``.  The smaller root is
     computed as ``-(Omega^2/4)`` over the larger, keeping its precision.
+    Both are solved in units of J, where g^2 and t1 t2 stay in range.
     """
     if emitter.delta_c != 0.0:
         raise UnsupportedFeatureError(
             "closed-form poles require delta_c = 0; sweep the spectrum instead"
         )
-    strength, _, _, _ = _pole_strength(config, params, emitter, k)
-    quarter = emitter.omega_rabi * emitter.omega_rabi / 4.0
+    strength = _pole_strength(config, params, emitter, k)[0]
+    rabi = emitter.omega_rabi / params.J
+    quarter = rabi * rabi / 4.0
     root = cmath.sqrt(quarter - strength * strength)
     # the larger root first, free of cancellation; their product is -Omega^2/4
     if (1j * strength * root.conjugate()).real >= 0.0:
@@ -117,7 +119,8 @@ def poles(
     else:
         minus = 1j * strength - root
         plus = -quarter / minus if quarter else 0j
-    return PolePair(pole_plus=plus, pole_minus=minus)
+    j = params.J  # scaled by parts: a complex times a float may flip a -0
+    return PolePair(complex(plus.real * j, plus.imag * j), complex(minus.real * j, minus.imag * j))
 
 
 def classify_regime(
@@ -128,22 +131,22 @@ def classify_regime(
 ) -> RegimeLabel:
     """Classify the expected lineshape by the control-field strength ratio.
 
-    ratio = |Omega| 2 t1 t2 |sin k| / (g^2 omega_k |F|); below 0.25 the
-    response is a single Lorentzian dip, above 4 an Autler-Townes doublet,
-    in between a transparency window.
+    ratio = |Omega| 2 t1 t2 |sin k| / (g^2 omega_k |F|), formed in units of
+    J; below 0.25 the response is a single Lorentzian dip, above 4 an
+    Autler-Townes doublet, in between a transparency window.
     """
-    _, fac, bp, sink = _pole_strength(config, params, emitter, k)
+    _, fac, omega_k, sink, g = _pole_strength(config, params, emitter, k)
     if emitter.omega_rabi == 0.0:
         ratio = 0.0
-    elif emitter.g == 0.0:
+    elif g == 0.0:
         ratio = math.inf
     else:
         # divided by g twice, not by g^2: g^2 underflows to 0 for g below
-        # about 1e-162, where the ratio should overflow to inf as at g = 0
+        # about 1e-162 J, where the ratio should overflow to inf as at g = 0
         ratio = (
-            abs(emitter.omega_rabi) / emitter.g / emitter.g
-            * 2.0 * params.t1 * params.t2 * abs(sink)
-            / (bp.omega_k * abs(fac))
+            abs(emitter.omega_rabi) / params.J / g / g
+            * 2.0 * (1.0 + params.delta) * (1.0 - params.delta) * abs(sink)
+            / (omega_k * abs(fac))
         )
     if ratio < RATIO_LORENTZIAN_MAX:
         label = "lorentzian"
@@ -156,8 +159,9 @@ def classify_regime(
 
 def lamb_shift(g: float, alpha: float, params: WaveguideParams) -> float:
     """Displacement g^2 a(1-a)/t1 of the transmission zero for split-site
-    coupling (exactly zero for single-site coupling)."""
-    return g * g * alpha * (1.0 - alpha) / params.t1
+    coupling (exactly zero for single-site coupling), formed in units of J."""
+    g = g / params.J
+    return g * g * alpha * (1.0 - alpha) / (1.0 + params.delta) * params.J
 
 
 def ats_dip_positions(

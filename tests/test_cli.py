@@ -223,6 +223,48 @@ class TestParamFileAndErrors:
         payload = json.loads(capsys.readouterr().out)
         assert payload["regime"] == "ats" and payload["ratio"] == "inf"
 
+    ENERGY_FIELDS = {"delta_k", "position", "fwhm", "pole_plus", "pole_minus", "lamb_shift"}
+
+    def _scaled_run(self, capsys, argv, J):
+        """Run ``argv``, whose (flag, value) entries give energies in units of
+        J, at scale J; return the JSON output flattened, its energies over J."""
+        argv = [f"{a[0]}={a[1] * J!r}" if isinstance(a, tuple) else a for a in argv]
+        assert run(["--format", "json", *argv, "--J", repr(J)]) == 0
+        captured = capsys.readouterr()
+        assert "Warning" not in captured.err
+        records = json.loads(captured.out)
+        flat = []
+        for record in records if isinstance(records, list) else [records]:
+            for key, value in record.items():
+                scale = J if key in self.ENERGY_FIELDS else 1.0
+                for v in value if isinstance(value, list) else [value]:
+                    flat.append(v / scale if isinstance(v, float) else v)
+        return flat
+
+    EMITTER = [("--omega-e", 1.5), ("--g", 0.2), ("--omega-rabi", 0.4)]
+    DK = [("--dk-min", -0.35), ("--dk-max", 0.35)]
+
+    @pytest.mark.parametrize("J", [1e-170, 1e300])
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--config", "AB", "--alpha", "0.3", "--dk-steps", "41", *EMITTER, *DK],
+        ["features", "--config", "A", "--dk-steps", "2001", *EMITTER, *DK],
+        ["poles", "--config", "AB", "--alpha", "0.3", *EMITTER],
+    ], ids=["spectrum", "features", "poles"])
+    def test_extreme_scale_matches_unit_scale(self, capsys, argv, J):
+        # t1 t2 and g^2 leave the range of doubles at these J; the closed
+        # forms, the kinematics and the poles work in units of J
+        unit = self._scaled_run(capsys, argv, 1.0)
+        scaled = self._scaled_run(capsys, argv, J)
+        assert len(unit) > 4
+        assert scaled == pytest.approx(unit, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["spectrum", "contour", "features"])
+    def test_huge_emitter_energy_is_an_empty_grid(self, capsys, command):
+        assert run([command, "--omega-e", "1e300"]) == 2
+        err = capsys.readouterr().err
+        assert "no grid point maps into the upper passband" in err
+        assert "Warning" not in err
+
     def test_subnormal_scale_winding(self, capsys):
         assert run(["winding", "--delta", "-0.5", "--J", "5e-324"]) == 0
         assert json.loads(capsys.readouterr().out)["nu"] == 1

@@ -87,7 +87,7 @@ def test_bundle_from_dict_defaults_and_rejects_unknown(tmp_path):
     bundle = bundle_from_dict({"delta": -0.5, "config": "AB", "alpha": 0.3})
     assert bundle.waveguide.delta == -0.5
     assert bundle.coupling.variant is Variant.AB
-    assert bundle.g1 == pytest.approx(0.2 * 0.3)
+    assert bundle.coupling.couplings(bundle.emitter.g)[0] == pytest.approx(0.2 * 0.3)
     with pytest.raises(ValidationError, match="config"):
         bundle_from_dict({"config": "C"})
     with pytest.raises(ValidationError, match="x1"):

@@ -5,14 +5,19 @@ input the package rejects must be rejected the same way on both sides of
 an identity.  Energies are on the scale of J: each drive and detuning is
 either exactly 0 or at least 1e-6 J.  Far below that, products such as
 4 g^2 (dk + dc) leave the range of doubles, and the 1e-14 pole-hit
-threshold is absolute, not relative to the drive.  Couplings also reach
-down to 1e-300 J, where g^2 underflows; below that a rescaling by J would
-itself round g.  hypothesis is a test-only dependency
+threshold is in units of J, not relative to the drive.  Couplings also
+reach down to 1e-300 J, where g^2 underflows.  The kinematics, the closed
+forms and the poles are computed in units of J, so rescaling J by any
+power of two that keeps every input and output a normal double must give
+the J = 1 answer exactly.  hypothesis is a test-only dependency
 (``pip install .[test]``); without it this module is skipped.
 """
 
+import math
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -25,8 +30,14 @@ from sshscatter import (  # noqa: E402
     EmitterParams,
     Variant,
     WaveguideParams,
+    amplitude_grid,
     band_edges,
+    bloch_point,
     boundary_matched_solve,
+    classify_regime,
+    lamb_shift,
+    momentum_from_energy,
+    poles,
     reflectance,
     transmittance,
 )
@@ -73,19 +84,66 @@ def _assert_same(a, b, tol):
     if isinstance(a, type) or isinstance(b, type):
         assert a is b
     else:
-        assert abs(a - b) <= tol
+        assert a == b or abs(a - b) <= tol
+
+
+def _scale_answers(config, omega, wg, emitter, band):
+    """Every J-covariant answer at one point: (t, r, k, amplitude_grid over
+    +-omega, poles at delta_c = 0, regime, Lamb shift), each an outcome as
+    :func:`_outcome` gives it."""
+    k = _outcome(lambda: momentum_from_energy(omega, wg, band))
+    if isinstance(k, type):
+        pair = regime = k
+    else:
+        pair = _outcome(lambda: poles(config, wg, replace(emitter, delta_c=0.0), k))
+        regime = _outcome(lambda: classify_regime(config, wg, emitter, k))
+    return (
+        _outcome(lambda: transmittance(config, omega, wg, emitter, band)),
+        _outcome(lambda: reflectance(config, omega, wg, emitter, band)),
+        k,
+        amplitude_grid(config, [omega, -omega], wg, emitter, band),
+        pair,
+        regime,
+        lamb_shift(emitter.g, config.alpha, wg),
+    )
+
+
+def _normal_exponents(values):
+    """The exponents n for which 2^n v is a normal double for every value v
+    that is a normal double itself (zeros and subnormals scale as they
+    are, the same way in the package and here)."""
+    lo, hi = -1021, 1023
+    for v in values:
+        if abs(v) >= sys.float_info.min:
+            e = math.frexp(abs(v))[1]  # 2^(e-1) <= |v| < 2^e
+            lo, hi = max(lo, -1021 - e), min(hi, 1024 - e)
+    return lo, hi
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=cases(), exponent=st.integers(-3, 3))
-def test_transmission_covariant_under_rescaling_j(case, exponent):
-    """Dividing every energy, J included, by J leaves t unchanged.
+@given(case=cases(), data=st.data())
+def test_transmission_covariant_under_rescaling_j(case, data):
+    """Multiplying every energy, J included, by a power of two leaves t, r,
+    k, the grid mask and the regime unchanged and scales the poles and the
+    Lamb shift, all exactly.
 
-    J is a power of two, so the rescaling itself is exact in floating point
-    and the check stays tight next to poles and band edges.
+    A power of two makes the rescaling itself exact in floating point, and
+    the package divides by J before any product forms, so the exponent may
+    range over all of double precision: it is drawn so that every scaled
+    energy stays a normal double, inputs, h(k) and outputs alike.
     """
     config, omega, wg, emitter, band = case
-    j = 2.0**exponent
+    t, r, k, grid, pair, regime, shift = _scale_answers(config, omega, wg, emitter, band)
+    energies = [omega, emitter.omega_e, omega - emitter.omega_e, emitter.delta_c,
+                emitter.omega_rabi, emitter.g, shift]
+    if not isinstance(k, type):
+        h = bloch_point(k, wg).h
+        energies += [h.real, h.imag]
+    if not isinstance(pair, type):
+        energies += [pair.pole_plus.real, pair.pole_plus.imag,
+                     pair.pole_minus.real, pair.pole_minus.imag]
+    lo, hi = _normal_exponents(energies)
+    j = 2.0 ** data.draw(st.integers(lo, hi), label="exponent")
     scaled = replace(
         emitter,
         omega_e=emitter.omega_e * j,
@@ -93,10 +151,22 @@ def test_transmission_covariant_under_rescaling_j(case, exponent):
         omega_rabi=emitter.omega_rabi * j,
         g=emitter.g * j,
     )
-    t = _outcome(lambda: transmittance(config, omega, wg, emitter, band))
     big = WaveguideParams(wg.delta, J=j)
-    t_scaled = _outcome(lambda: transmittance(config, omega * j, big, scaled, band))
-    _assert_same(t_scaled, t, 1e-12)
+    t_j, r_j, k_j, grid_j, pair_j, regime_j, shift_j = _scale_answers(
+        config, omega * j, big, scaled, band
+    )
+    _assert_same(t_j, t, 0.0)
+    _assert_same(r_j, r, 0.0)
+    _assert_same(k_j, k, 0.0)
+    for a, b in zip(grid_j, grid):
+        np.testing.assert_array_equal(a, b)
+    if isinstance(pair, type):
+        assert pair_j is pair
+    else:
+        assert pair_j.pole_plus == pair.pole_plus * j
+        assert pair_j.pole_minus == pair.pole_minus * j
+    assert regime_j == regime
+    assert shift_j == shift * j
 
 
 @settings(max_examples=300, deadline=None)

@@ -241,6 +241,28 @@ class TestFlatBandChain:
         with pytest.raises(BandEdgeError, match=r"delta = -?1\.0"):
             call(config, wg, emitter)
 
+    # at the band edges k = 0 and pi sin k = 0: in floating point
+    # sin(pi) is 1.2e-16, not 0, so a test on sin k misses k = pi
+    @pytest.mark.parametrize("k", [0.0, math.pi], ids=["0", "pi"])
+    @pytest.mark.parametrize(
+        "config",
+        [CouplingConfig(Variant.A), CouplingConfig(Variant.B), CouplingConfig(Variant.AB, 0.3)],
+        ids=["A", "B", "AB"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c, wg, em, k: transfer_matrix(c, k, wg, em),
+            poles,
+            classify_regime,
+        ],
+        ids=["transfer_matrix", "poles", "classify_regime"],
+    )
+    def test_band_edge_momentum_raises(self, call, config, k, trivial_chain):
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=5)
+        with pytest.raises(BandEdgeError, match=r"k = .* band edge"):
+            call(config, trivial_chain, emitter, k)
+
 
 class TestScatteringMatrix:
     def test_identity_maps_to_identity(self):

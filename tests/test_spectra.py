@@ -16,6 +16,7 @@ from sshscatter import (
     extract_features,
     lamb_shift,
     momentum_from_energy,
+    momentum_grid,
     poles,
     reflectance,
     sweep_contour,
@@ -23,8 +24,10 @@ from sshscatter import (
     transmittance,
 )
 from sshscatter.errors import (
+    BandEdgeError,
     EmptyGridError,
     ModelError,
+    OutOfBandError,
     UnsupportedFeatureError,
     ValidationError,
 )
@@ -215,6 +218,38 @@ class TestSweeps:
                 np.testing.assert_array_equal(grid.delta_k, expected)
                 assert 0 < len(grid) < len(dk)
                 assert 0.0 not in grid.delta_k
+
+        # The neighbours of every edge, at every scale: the grid's mask is
+        # where the scalar path returns, with the same k to the bit, and the
+        # scalar path's error names the energy's cause.
+        for delta in (0.5, -0.5, 0.0, 1.0, -1.0):
+            for J in (1.0, 2.0**-3, 1e-170, 1e300):
+                wg = WaveguideParams(delta=delta, J=J)
+                gap, outer = band_edges(wg)
+                edges = [e * s for e in (gap, outer) for s in (1.0, -1.0)]
+                omegas = np.array(
+                    [np.nextafter(e, to) for e in edges for to in (-np.inf, e, np.inf)]
+                )
+                for band in (Band.UPPER, Band.LOWER):
+                    in_band, k = momentum_grid(omegas, wg, band)
+                    k_scalar = []
+                    for omega, kept in zip(omegas, in_band):
+                        try:
+                            k_scalar.append(momentum_from_energy(float(omega), wg, band))
+                        except ModelError as exc:
+                            assert not kept
+                            w = abs(omega)
+                            if omega * band.sign <= 0.0:
+                                assert type(exc) is ValidationError
+                            elif w < gap or w > outer:
+                                assert type(exc) is OutOfBandError
+                                assert exc.code == ("gap" if w < gap else "beyond_edge")
+                            else:
+                                assert type(exc) is BandEdgeError
+                        else:
+                            assert kept
+                    assert k.tolist() == k_scalar
+                    assert in_band.any() == (abs(delta) != 1.0)
 
     @pytest.mark.parametrize("variant", [Variant.A, Variant.B, Variant.AB])
     def test_sweep_matches_scalar_amplitudes(self, variant):
