@@ -53,22 +53,31 @@ class BlochEigenvectors:
     lower: np.ndarray
 
 
-def bloch_point(k: float, params: WaveguideParams) -> BlochPoint:
-    """Evaluate h(k), its phase, and the upper-band energy at momentum k."""
+def h_over_j(k: float, params: WaveguideParams) -> complex:
+    """h(k)/J = -(1 + delta) - (1 - delta) exp(-ik), k in (-pi, pi]: the scalar
+    h of every route, in units of J where no product of hoppings overflows."""
     if not -math.pi < k <= math.pi:
         raise ValidationError(f"k = {k} outside the Brillouin zone (-pi, pi]")
-    h = complex(-params.t1 - params.t2 * cmath.exp(-1j * k))
-    return BlochPoint(k=k, h=h, phi_k=cmath.phase(h), omega_k=abs(h))
+    return -(1.0 + params.delta) - (1.0 - params.delta) * cmath.exp(-1j * k)
+
+
+def bloch_point(k: float, params: WaveguideParams) -> BlochPoint:
+    """Evaluate h(k), its phase, and the upper-band energy at momentum k."""
+    h, j = h_over_j(k, params), params.J  # scaled by parts: h * j may flip a -0
+    return BlochPoint(k, complex(h.real * j, h.imag * j), cmath.phase(h), abs(h) * j)
 
 
 def require_dispersive(params: WaveguideParams, k: float) -> None:
     """Raise :class:`BandEdgeError` where nothing propagates at momentum k:
-    on the flat bands of delta = +-1 (tested on delta: t1 t2 underflows at
-    tiny J) and at the band edges k = 0, pi, where sin k = 0."""
+    on the flat bands of delta = +-1 and where |cos k| = 1 in doubles (k = 0,
+    pi and every k within rounding of them), the momenta that no energy maps
+    to in :func:`_band_cos`; there sin k is 0 or a rounding residue."""
     if abs(params.delta) == 1.0:
         raise BandEdgeError(f"delta = {params.delta}: flat bands, no momentum propagates")
-    if k == 0.0 or k == math.pi:
-        raise BandEdgeError(f"k = {k} is a band edge: sin k = 0, no momentum propagates")
+    if abs(math.cos(k)) == 1.0:
+        raise BandEdgeError(
+            f"k = {k} is a band edge, exactly or to rounding: no momentum propagates"
+        )
 
 
 def band_edges(params: WaveguideParams) -> tuple[float, float]:
@@ -112,7 +121,7 @@ def momentum_from_energy(
     Passing ``band`` additionally enforces that the sign of ``omega``
     matches the selected branch.  The in-band test is :func:`_band_cos`,
     in units of J; only an energy it rejects is sorted by cause:
-    :class:`ValidationError` for the wrong sign, :class:`OutOfBandError`
+    :class:`ValidationError` for NaN or the wrong sign, :class:`OutOfBandError`
     (code ``"gap"`` or ``"beyond_edge"``) for a non-propagating energy and
     :class:`BandEdgeError` on an edge, exactly or to rounding, where
     sin(k) = 0 makes every scattering denominator degenerate.
@@ -120,6 +129,8 @@ def momentum_from_energy(
     in_band, cos_k = _band_cos(omega, params, band.sign if band else math.copysign(1.0, omega))
     if in_band:
         return math.acos(cos_k)
+    if math.isnan(omega):
+        raise ValidationError(f"omega = {omega} is not a number")
     if band is not None and omega * band.sign <= 0.0:
         raise ValidationError(f"omega = {omega} has the wrong sign for the {band.value} band")
     gap_edge, outer_edge = band_edges(params)
@@ -151,29 +162,29 @@ def group_velocity(k: float, params: WaveguideParams) -> float:
 
     The analytic derivative of the upper band is -t1 t2 sin(k)/omega_k,
     negative on (0, pi); callers that need a direction combine this
-    magnitude with their own propagation convention.  Returns 0 at the
-    band edges k = 0, pi.
+    magnitude with their own propagation convention (formed in units of
+    J).  Returns 0 at the band edges k = 0, pi.
     """
     if k == 0.0 or abs(k) == math.pi:
         return 0.0
-    bp = bloch_point(k, params)
-    if bp.omega_k < 1e-12:
+    w = abs(h_over_j(k, params))
+    if w < 1e-12:
         raise DegenerateEigenvectorError("group velocity undefined at a gap-closing point")
-    return abs(params.t1 * params.t2 * math.sin(k)) / bp.omega_k
+    return abs((1.0 + params.delta) * (1.0 - params.delta) * math.sin(k)) / w * params.J
 
 
 def bloch_eigenvectors(k: float, params: WaveguideParams) -> BlochEigenvectors:
     """Eigenvectors (A, B amplitudes) of the 2x2 Bloch Hamiltonian at k.
 
     The upper/lower vectors satisfy H_k v = +/- omega_k v; both are unit
-    norm and mutually orthogonal.
+    norm and mutually orthogonal; the bands are degenerate where |h| < 1e-12 J.
     """
-    bp = bloch_point(k, params)
-    if bp.omega_k < 1e-12:
+    h = h_over_j(k, params)
+    if abs(h) < 1e-12:
         raise DegenerateEigenvectorError(
             f"bands are degenerate at k = {k} (gapless chain); eigenvectors undefined"
         )
-    phase = cmath.exp(-1j * bp.phi_k)
+    phase = cmath.exp(-1j * cmath.phase(h))
     upper = np.array([1.0, phase]) / math.sqrt(2.0)
     lower = np.array([-1.0, phase]) / math.sqrt(2.0)
     return BlochEigenvectors(upper=upper, lower=lower)

@@ -45,7 +45,7 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(val) for val in obj]
     if isinstance(obj, complex):
-        return [_round12(obj.real), _round12(obj.imag)]
+        return [_jsonify(obj.real), _jsonify(obj.imag)]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):

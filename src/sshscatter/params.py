@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import UnsupportedFeatureError, ValidationError
@@ -114,10 +115,16 @@ def validate(
 ) -> ModelParams:
     """Check every invariant and return the normalized bundle.
 
-    Raises :class:`ValidationError` naming the offending field, or
-    :class:`UnsupportedFeatureError` for a nonzero on-site energy (which
-    would break the chiral symmetry this version relies on).
+    Raises :class:`ValidationError` naming the offending field (a NaN or
+    infinite energy too), or :class:`UnsupportedFeatureError` for a nonzero
+    on-site energy (which would break the chiral symmetry this version
+    relies on).
     """
+    for name, value in (("J", params.J), ("omega_e", emitter.omega_e),
+                        ("delta_c", emitter.delta_c), ("omega_rabi", emitter.omega_rabi),
+                        ("g", emitter.g)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} out of range: {value} (must be finite)")
     if not params.J > 0.0:
         raise ValidationError(f"J out of range: {params.J} (must be > 0)")
     if not -1.0 <= params.delta <= 1.0:

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import bloch_point, momentum_from_energy, momentum_grid, require_dispersive
+from .bands import h_over_j, momentum_from_energy, momentum_grid, require_dispersive
 from .errors import DegenerateDenominatorError, PotentialSingularityError
 from .params import Band, CouplingConfig, EmitterParams, WaveguideParams
 
-# Threshold in units of J^2 (the closed forms work in units of J) below
-# which the potential denominator counts as an exact pole hit.
+# Threshold in units of J^2 (both amplitude routes divide by J first) below
+# which the potential denominator counts as a pole hit; see _potential_terms.
 _POLE_EPS = 1e-14
 
 # At a pole hit, couplings below this (in units of J) are solved at g = J
@@ -84,33 +84,21 @@ class ScatteringMatrix:
 
 
 def detuning_response(delta_k: float, delta_c: float, omega_rabi: float) -> float:
-    """Common detuning factor of the site potentials.
-
-    Evaluates ``(dk + dc) / [4 dk (dk + dc) - Omega^2]``.  With the control
-    field off this reduces algebraically to ``1/(4 dk)`` (the metastable
-    level decouples), which is used directly to avoid a spurious 0/0 at
-    dk = -dc.  Raises :class:`PotentialSingularityError` at a pole,
-    carrying the nearest pole detuning.  At two-photon resonance,
-    dk + dc = 0, the denominator is -Omega^2 and the response is exactly 0,
-    however small Omega is.
+    """Common detuning factor ``(dk + dc) / [4 dk (dk + dc) - Omega^2]`` of the
+    site potentials, num/den of :func:`_potential_terms`, which states every
+    case: ``1/(4 dk)`` with the control field off, exactly 0 at two-photon
+    resonance however small Omega is.  Raises :class:`PotentialSingularityError`
+    at a pole hit, carrying the nearest pole detuning.
     """
-    if omega_rabi == 0.0:
-        if abs(delta_k) < _POLE_EPS:
-            raise PotentialSingularityError(
-                f"potential pole at delta_k = 0 (got {delta_k})", pole=0.0
-            )
-        return 1.0 / (4.0 * delta_k)
-    if delta_k + delta_c == 0.0:
-        return 0.0
-    den = 4.0 * delta_k * (delta_k + delta_c) - omega_rabi * omega_rabi
-    if abs(den) < _POLE_EPS:
+    num, den = _potential_terms(delta_k, delta_c, omega_rabi, 1.0)
+    if den == 0.0 and num != 0.0:
+        # of the roots (-dc +- sqrt(dc^2 + Omega^2))/2, the one on delta_k's side
         root = math.sqrt(delta_c * delta_c + omega_rabi * omega_rabi)
-        lo, hi = (-delta_c - root) / 2.0, (-delta_c + root) / 2.0
-        pole = lo if abs(delta_k - lo) <= abs(delta_k - hi) else hi
+        pole = (-delta_c + math.copysign(root, 2.0 * delta_k + delta_c)) / 2.0
         raise PotentialSingularityError(
-            f"potential pole at delta_k = {pole} (got {delta_k})", pole=pole
-        )
-    return (delta_k + delta_c) / den
+            f"potential pole at delta_k = {pole} (got {delta_k})", pole=pole)
+    # den is 0 with num only where Omega^2 underflows at dk = -dc: V = 0
+    return num / (den or 1.0)
 
 
 def effective_potential(
@@ -148,9 +136,9 @@ def ab_transfer_factors(
     The total transfer matrix is the product B-step @ A-step.  Each factor
     alone is basis-convention dependent and has non-unit determinant; the
     determinants t1/(t1 - cross) and (t1 - cross)/t1 cancel exactly in the
-    product, restoring flux conservation.
+    product, restoring flux conservation.  All in units of J, ``pot`` too.
     """
-    t1, t2 = params.t1, params.t2
+    t1, t2 = 1.0 + params.delta, 1.0 - params.delta
     v1, v2, v3 = pot.on_a, pot.cross, pot.on_b
     if abs(t1 - v2) < 1e-12 * (abs(t1) + abs(v2)):
         raise DegenerateDenominatorError(
@@ -185,20 +173,24 @@ def transfer_matrix(
     :func:`ab_transfer_factors`.  Single-site couplings A and B are its
     alpha = 1 and alpha = 0 cases: at alpha = 1 the B step is exactly the
     identity, at alpha = 0 the A step is, and the remaining step equals the
-    single-site matrix because t2 sin(k + phi_E) = -t1 sin phi_E.
-    Raises :class:`BandEdgeError` on the flat-band chain (delta = +-1) and
-    at k = 0, pi, propagates :class:`PotentialSingularityError` at potential
-    poles and raises :class:`DegenerateDenominatorError` when t1 equals the
-    cross potential.
+    single-site matrix because t2 sin(k + phi_E) = -t1 sin phi_E.  Energies
+    are divided by J once.  Raises :class:`BandEdgeError` on the flat-band
+    chain (delta = +-1) and where |cos k| = 1, raises
+    :class:`PotentialSingularityError` at potential poles and
+    :class:`DegenerateDenominatorError` when t1 equals the cross potential.
     """
+    h = h_over_j(k, params)
     require_dispersive(params, k)
-    bp = bloch_point(k, params)
-    energy = band.sign * bp.omega_k
-    phi_e = cmath.phase(bp.h / energy)
-    pot = effective_potential(
-        energy - emitter.omega_e, emitter.delta_c, emitter.omega_rabi,
-        emitter.g, config.alpha,
-    )
+    j, energy = params.J, band.sign * abs(h)
+    phi_e = cmath.phase(h / energy)
+    dk = energy - emitter.omega_e / j
+    try:
+        pot = effective_potential(dk, emitter.delta_c / j, emitter.omega_rabi / j,
+                                  emitter.g / j, config.alpha)
+    except PotentialSingularityError as exc:  # its pole, back from units of J
+        pole = exc.pole * j
+        raise PotentialSingularityError(
+            f"potential pole at delta_k = {pole} (got {dk * j})", pole=pole) from None
     a, b = ab_transfer_factors(k, phi_e, pot, emitter.x1, params)
     return TransferMatrix(
         b.t11 * a.t11 + b.t12 * a.t21, b.t11 * a.t12 + b.t12 * a.t22,
@@ -291,7 +283,7 @@ def _cell_amplitudes(config, energy, h, phase, params, emitter):
 
 def _point_amplitudes(config, omega, params, emitter, band):
     k = momentum_from_energy(omega, params, band)
-    h = -(1.0 + params.delta) - (1.0 - params.delta) * cmath.exp(-1j * k)
+    h = h_over_j(k, params)
     phase = cmath.exp(2j * k * emitter.x1)
     return _cell_amplitudes(config, omega, h, phase, params, emitter)
 

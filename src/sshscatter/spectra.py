@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import bloch_point, require_dispersive
+from .bands import h_over_j, require_dispersive
 from .errors import (
     EmptyGridError,
     UnsupportedFeatureError,
@@ -80,12 +80,12 @@ class LineshapeFeature:
 
 def _pole_strength(config, params, emitter, k):
     """(s, F, omega_k, sin k, g) with s, omega_k and g in units of J."""
+    h = h_over_j(k, params)
     require_dispersive(params, k)
-    bp = bloch_point(k, params)
     sink = math.sin(k)
-    fac = interference_factor(bp.phi_k, config.alpha)
+    fac = interference_factor(cmath.phase(h), config.alpha)
     g = emitter.g / params.J
-    omega_k = bp.omega_k / params.J
+    omega_k = abs(h)
     a, b = 1.0 + params.delta, 1.0 - params.delta
     return g * g * omega_k * fac / (4.0 * a * b * sink), fac, omega_k, sink, g
 
@@ -258,19 +258,17 @@ def extract_features(spectrum: SpectrumGrid) -> list[LineshapeFeature]:
         raise ValidationError("detuning grid must be strictly increasing")
     t = spectrum.transmission
 
-    minima = [
-        i
-        for i in range(1, len(t) - 1)
-        if t[i] < t[i - 1] and t[i] <= t[i + 1] and t[i] < 0.5
-    ]
-    features = []
-    for i in minima:
+    inner = t[1:-1]
+    minima = np.flatnonzero((inner < t[:-2]) & (inner <= t[2:]) & (inner < 0.5)) + 1
+    features, dip_idx = [], []
+    for i in minima.tolist():
         depth = 1.0 - t[i]
         level = 1.0 - depth / 2.0
         left = _half_crossing(x, t, i, level, -1)
         right = _half_crossing(x, t, i, level, +1)
         if left is None or right is None:
             continue
+        dip_idx.append(i)
         features.append(
             LineshapeFeature(
                 kind="dip",
@@ -283,7 +281,6 @@ def extract_features(spectrum: SpectrumGrid) -> list[LineshapeFeature]:
 
     # One transparency peak per gap between adjacent dips: the highest
     # sample in the open interval, if it clears T = 0.5.
-    dip_idx = [i for i in minima if any(f.position == x[i] for f in features)]
     for a, b in zip(dip_idx[:-1], dip_idx[1:]):
         if b - a < 2:
             continue

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sshscatter import (
+    Band,
     WaveguideParams,
     band_edges,
     band_phase,
@@ -105,6 +106,11 @@ class TestMomentumInversion:
             momentum_from_energy(2.0, trivial_chain)
         with pytest.raises(BandEdgeError):
             momentum_from_energy(1.0, trivial_chain)
+
+    @pytest.mark.parametrize("band", [None, Band.UPPER, Band.LOWER])
+    def test_nan_energy_is_not_a_band_edge(self, trivial_chain, band):
+        with pytest.raises(ValidationError, match=r"omega = nan is not a number"):
+            momentum_from_energy(math.nan, trivial_chain, band)
 
     def test_negative_energy_uses_magnitude(self, trivial_chain):
         assert momentum_from_energy(-1.5, trivial_chain) == momentum_from_energy(

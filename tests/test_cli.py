@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,31 @@ class TestParamFileAndErrors:
         err = capsys.readouterr().err
         assert "no grid point maps into the upper passband" in err
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag, field", [
+        ("--J", "J"), ("--omega-e", "omega_e"), ("--delta-c", "delta_c"),
+        ("--omega-rabi", "omega_rabi"), ("--g", "g"), ("--omega", "omega"),
+    ])
+    def test_non_finite_input_names_its_field(self, capsys, flag, field, value):
+        command = "poles" if flag == "--omega" else "spectrum"
+        assert run([command, "--config", "A", f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{field}\b", err), err
+        assert "sits on a band edge" not in err
+        assert "Warning" not in err
+
+    def test_poles_json_is_strict(self, capsys):
+        # (Omega/J)^2 overflows here and the poles are not finite: any
+        # non-finite part must be written as a string, never as NaN or Infinity
+        assert run(["poles", "--config", "A", "--omega-rabi", "1e300"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert cli._jsonify(complex(math.nan, -math.inf)) == ["nan", "-inf"]
+        assert cli._jsonify(complex(1.0, -0.0)) == [1.0, -0.0]
 
     def test_underflowing_coupling_poles(self, capsys):
         assert run(["poles", "--config", "A", "--omega-rabi", "0.2", "--g", "1e-170"]) == 0

@@ -355,6 +355,18 @@ class TestWavepacket:
         assert run.transmitted > 0.95
         assert abs(run.transmitted - avg) < 2e-2
 
+    @pytest.mark.parametrize("exponent", [-50, 600])
+    def test_exact_under_power_of_two_scale(self, config_ab, exponent):
+        # the group velocity and the packet's Bloch phases are formed in
+        # units of J, so at J = 2^n every energy, time and step scales exactly
+        def transmitted(j):
+            wg = WaveguideParams(delta=-0.5, J=j)
+            emitter = EmitterParams(omega_e=1.5 * j, omega_rabi=0.4 * j, g=0.2 * j, x1=200)
+            k0 = momentum_from_energy(1.5 * j, wg)
+            return wavepacket_transport(k0, 20.0, 400, wg, emitter, config_ab).transmitted
+
+        assert transmitted(2.0**exponent) == transmitted(1.0)
+
     def test_carrier_outside_window_rejected(self, trivial_chain, resonant_emitter, config_a):
         with pytest.raises(ValidationError):
             wavepacket_transport(0.05, 20.0, 400, trivial_chain, resonant_emitter, config_a)

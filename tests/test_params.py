@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sshscatter import (
@@ -35,6 +37,13 @@ def test_delta_sign_swap_exchanges_hoppings():
 def test_delta_out_of_range_rejected():
     with pytest.raises(ValidationError, match="delta"):
         validate(WaveguideParams(delta=1.5), EmitterParams(omega_e=1.5), CouplingConfig(Variant.A))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["J", "omega_e", "delta_c", "omega_rabi", "g"])
+def test_non_finite_energy_rejected_by_name(field, value):
+    with pytest.raises(ValidationError, match=rf"^{field} out of range: .*finite"):
+        bundle_from_dict({field: value})
 
 
 def test_nonzero_onsite_energy_rejected():

@@ -7,9 +7,10 @@ either exactly 0 or at least 1e-6 J.  Far below that, products such as
 4 g^2 (dk + dc) leave the range of doubles, and the 1e-14 pole-hit
 threshold is in units of J, not relative to the drive.  Couplings also
 reach down to 1e-300 J, where g^2 underflows.  The kinematics, the closed
-forms and the poles are computed in units of J, so rescaling J by any
-power of two that keeps every input and output a normal double must give
-the J = 1 answer exactly.  hypothesis is a test-only dependency
+forms, the check route, the poles, the group velocity and the Bloch
+eigenvectors are computed in units of J, so rescaling J by any power of
+two that keeps every input and output a normal double must give the J = 1
+answer exactly.  hypothesis is a test-only dependency
 (``pip install .[test]``); without it this module is skipped.
 """
 
@@ -32,13 +33,17 @@ from sshscatter import (  # noqa: E402
     WaveguideParams,
     amplitude_grid,
     band_edges,
+    bloch_eigenvectors,
     bloch_point,
     boundary_matched_solve,
     classify_regime,
+    group_velocity,
     lamb_shift,
     momentum_from_energy,
     poles,
     reflectance,
+    scattering_matrix,
+    transfer_matrix,
     transmittance,
 )
 from sshscatter.errors import ModelError  # noqa: E402
@@ -87,16 +92,30 @@ def _assert_same(a, b, tol):
         assert a == b or abs(a - b) <= tol
 
 
+def _check_route(config, k, wg, emitter, band):
+    s = scattering_matrix(transfer_matrix(config, k, wg, emitter, band))
+    return s.t_left, s.r_left
+
+
+def _eigenvectors(k, wg):
+    v = bloch_eigenvectors(k, wg)
+    return np.stack((v.upper, v.lower))
+
+
 def _scale_answers(config, omega, wg, emitter, band):
     """Every J-covariant answer at one point: (t, r, k, amplitude_grid over
-    +-omega, poles at delta_c = 0, regime, Lamb shift), each an outcome as
+    +-omega, poles at delta_c = 0, regime, Lamb shift, the check route's
+    (t, r), group velocity, Bloch eigenvectors), each an outcome as
     :func:`_outcome` gives it."""
     k = _outcome(lambda: momentum_from_energy(omega, wg, band))
     if isinstance(k, type):
-        pair = regime = k
+        pair = regime = route = speed = vectors = k
     else:
         pair = _outcome(lambda: poles(config, wg, replace(emitter, delta_c=0.0), k))
         regime = _outcome(lambda: classify_regime(config, wg, emitter, k))
+        route = _outcome(lambda: _check_route(config, k, wg, emitter, band))
+        speed = _outcome(lambda: group_velocity(k, wg))
+        vectors = _outcome(lambda: _eigenvectors(k, wg))
     return (
         _outcome(lambda: transmittance(config, omega, wg, emitter, band)),
         _outcome(lambda: reflectance(config, omega, wg, emitter, band)),
@@ -105,6 +124,9 @@ def _scale_answers(config, omega, wg, emitter, band):
         pair,
         regime,
         lamb_shift(emitter.g, config.alpha, wg),
+        route,
+        speed,
+        vectors,
     )
 
 
@@ -124,8 +146,9 @@ def _normal_exponents(values):
 @given(case=cases(), data=st.data())
 def test_transmission_covariant_under_rescaling_j(case, data):
     """Multiplying every energy, J included, by a power of two leaves t, r,
-    k, the grid mask and the regime unchanged and scales the poles and the
-    Lamb shift, all exactly.
+    k, the grid mask, the regime, the check route's t and r and the Bloch
+    eigenvectors unchanged and scales the poles, the Lamb shift and the
+    group velocity, all exactly.
 
     A power of two makes the rescaling itself exact in floating point, and
     the package divides by J before any product forms, so the exponent may
@@ -133,9 +156,12 @@ def test_transmission_covariant_under_rescaling_j(case, data):
     energy stays a normal double, inputs, h(k) and outputs alike.
     """
     config, omega, wg, emitter, band = case
-    t, r, k, grid, pair, regime, shift = _scale_answers(config, omega, wg, emitter, band)
+    answers = _scale_answers(config, omega, wg, emitter, band)
+    t, r, k, grid, pair, regime, shift, route, speed, vectors = answers
     energies = [omega, emitter.omega_e, omega - emitter.omega_e, emitter.delta_c,
                 emitter.omega_rabi, emitter.g, shift]
+    if not isinstance(speed, type):
+        energies.append(speed)
     if not isinstance(k, type):
         h = bloch_point(k, wg).h
         energies += [h.real, h.imag]
@@ -152,8 +178,8 @@ def test_transmission_covariant_under_rescaling_j(case, data):
         g=emitter.g * j,
     )
     big = WaveguideParams(wg.delta, J=j)
-    t_j, r_j, k_j, grid_j, pair_j, regime_j, shift_j = _scale_answers(
-        config, omega * j, big, scaled, band
+    t_j, r_j, k_j, grid_j, pair_j, regime_j, shift_j, route_j, speed_j, vectors_j = (
+        _scale_answers(config, omega * j, big, scaled, band)
     )
     _assert_same(t_j, t, 0.0)
     _assert_same(r_j, r, 0.0)
@@ -167,6 +193,18 @@ def test_transmission_covariant_under_rescaling_j(case, data):
         assert pair_j.pole_minus == pair.pole_minus * j
     assert regime_j == regime
     assert shift_j == shift * j
+    if isinstance(route, type):
+        assert route_j is route
+    else:
+        assert route_j == route
+    if isinstance(speed, type):
+        assert speed_j is speed
+    else:
+        assert speed_j == speed * j
+    if isinstance(vectors, type):
+        assert vectors_j is vectors
+    else:
+        np.testing.assert_array_equal(vectors_j, vectors)
 
 
 @settings(max_examples=300, deadline=None)

@@ -129,6 +129,16 @@ class TestTransferMatrix:
         with pytest.raises(PotentialSingularityError):
             transfer_matrix(config_a, k, trivial_chain, emitter)
 
+    @pytest.mark.parametrize("J", [1.0, 2.0**-40, 1e-170, 1e300])
+    def test_pole_location_is_an_energy(self, J):
+        # the potential forms in units of J; the pole it reports is scaled back
+        wg = WaveguideParams(delta=0.5, J=J)
+        emitter = EmitterParams(omega_e=1.5 * J, omega_rabi=0.2 * J, g=0.2 * J, x1=3)
+        k = momentum_from_energy(1.6 * J, wg)  # the pole at delta_k = Omega/2
+        with pytest.raises(PotentialSingularityError, match="potential pole") as err:
+            transfer_matrix(CouplingConfig(Variant.AB, 0.3), k, wg, emitter)
+        assert err.value.pole == pytest.approx(0.1 * J, rel=1e-12)
+
     def test_ab_degenerate_denominator_signalled(self, trivial_chain):
         # at the shifted transmission zero the A-step factor blows up
         config = CouplingConfig(Variant.AB, 0.5)
@@ -242,8 +252,13 @@ class TestFlatBandChain:
             call(config, wg, emitter)
 
     # at the band edges k = 0 and pi sin k = 0: in floating point
-    # sin(pi) is 1.2e-16, not 0, so a test on sin k misses k = pi
-    @pytest.mark.parametrize("k", [0.0, math.pi], ids=["0", "pi"])
+    # sin(pi) is 1.2e-16, not 0, so a test on sin k misses k = pi.  Within
+    # rounding of an edge |cos k| reads 1 and no energy maps to k either:
+    # sin k is a residue there, and the amplitudes would be meaningless
+    @pytest.mark.parametrize(
+        "k", [0.0, math.pi, 5e-324, 1e-300, 1e-9, math.pi - 1e-9],
+        ids=["0", "pi", "5e-324", "1e-300", "1e-9", "pi-1e-9"],
+    )
     @pytest.mark.parametrize(
         "config",
         [CouplingConfig(Variant.A), CouplingConfig(Variant.B), CouplingConfig(Variant.AB, 0.3)],
@@ -262,6 +277,53 @@ class TestFlatBandChain:
         emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=5)
         with pytest.raises(BandEdgeError, match=r"k = .* band edge"):
             call(config, trivial_chain, emitter, k)
+
+    @pytest.mark.parametrize("cos_k", [math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0)])
+    def test_extreme_in_band_momenta_pass(self, cos_k, trivial_chain):
+        # acos of the doubles next to +-1: 1.49e-8 and pi - 1.49e-8, the
+        # momenta closest to an edge that an in-band energy maps to
+        k = math.acos(cos_k)
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=5)
+        for config in (CouplingConfig(Variant.A), CouplingConfig(Variant.AB, 0.3)):
+            s = scattering_matrix(transfer_matrix(config, k, trivial_chain, emitter))
+            assert abs(abs(s.t_left) ** 2 + abs(s.r_left) ** 2 - 1.0) < 1e-12
+            pair = poles(config, trivial_chain, emitter, k)
+            assert cmath.isfinite(pair.pole_plus) and cmath.isfinite(pair.pole_minus)
+            assert classify_regime(config, trivial_chain, emitter, k).label == "lorentzian"
+
+
+class TestRoutesAtExtremeScale:
+    """Closed form, check route and lattice oracle far from J = 1.
+
+    Both amplitude routes divide every energy by J before the potential
+    forms, so neither reads a false pole from the J^2 threshold nor loses
+    its digits where t1 t2 or g^2 leave the range of doubles.
+    """
+
+    @pytest.mark.parametrize("J", [1e-8, 1e-170, 1e300])
+    @pytest.mark.parametrize("band", [Band.UPPER, Band.LOWER])
+    @pytest.mark.parametrize("delta", [0.5, -0.5])
+    @pytest.mark.parametrize(
+        "config",
+        [CouplingConfig(Variant.A), CouplingConfig(Variant.B), CouplingConfig(Variant.AB, 0.3)],
+        ids=["A", "B", "AB"],
+    )
+    def test_three_routes_agree(self, config, delta, band, J):
+        wg = WaveguideParams(delta=delta, J=J)
+        s = band.sign
+        emitter = EmitterParams(
+            omega_e=s * 1.5 * J, delta_c=s * 0.03 * J, omega_rabi=0.2 * J, g=0.2 * J, x1=5
+        )
+        omega = s * 1.62 * J
+        t = transmittance(config, omega, wg, emitter, band)
+        r = reflectance(config, omega, wg, emitter, band)
+        k = momentum_from_energy(omega, wg, band)
+        route = scattering_matrix(transfer_matrix(config, k, wg, emitter, band))
+        sol = boundary_matched_solve(omega, 32, wg, emitter, config, band)
+        assert abs(t) ** 2 + abs(r) ** 2 == pytest.approx(1.0, abs=1e-12)
+        for t_other, r_other in ((route.t_left, route.r_left), (sol.t_num, sol.r_num)):
+            assert abs(t_other - t) < 1e-10
+            assert abs(r_other - r) < 1e-10
 
 
 class TestScatteringMatrix:
@@ -319,9 +381,14 @@ class TestTransmittance:
         # Omega^2 underflows to 0, so the potential reads 0/0 at dk = -dc: the
         # emitter must still be transparent, not raise ZeroDivisionError
         emitter = EmitterParams(omega_e=1.5, omega_rabi=5e-324, g=0.2, x1=5)
+        assert detuning_response(0.0, 0.0, 5e-324) == 0.0
+        k = momentum_from_energy(1.5, trivial_chain)
         for variant in Variant:
             assert transmittance(CouplingConfig(variant), 1.5, trivial_chain, emitter) == 1.0
             assert reflectance(CouplingConfig(variant), 1.5, trivial_chain, emitter) == 0.0
+            pipe = scattering_matrix(transfer_matrix(CouplingConfig(variant), k, trivial_chain,
+                                                     emitter))
+            assert pipe.t_left == 1.0 and pipe.r_left == 0.0
 
     @pytest.mark.parametrize("omega_rabi", [0.0, 0.2])
     def test_decoupled_emitter_is_transparent(self, trivial_chain, omega_rabi):

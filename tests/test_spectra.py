@@ -31,7 +31,7 @@ from sshscatter.errors import (
     UnsupportedFeatureError,
     ValidationError,
 )
-from sshscatter.spectra import SpectrumGrid
+from sshscatter.spectra import LineshapeFeature, SpectrumGrid, _half_crossing
 
 
 @pytest.fixture
@@ -302,6 +302,44 @@ class TestSweeps:
         assert np.max(np.abs(plus.transmission - minus.transmission)) > 0.1
 
 
+def extract_features_loop(spectrum):
+    """Reference: feature extraction as first written, with the minima
+    found by a Python loop over every point and the kept dips' indices
+    recovered by float equality of their positions."""
+    x, t = spectrum.delta_k, spectrum.transmission
+    minima = [
+        i
+        for i in range(1, len(t) - 1)
+        if t[i] < t[i - 1] and t[i] <= t[i + 1] and t[i] < 0.5
+    ]
+    features = []
+    for i in minima:
+        depth = 1.0 - t[i]
+        level = 1.0 - depth / 2.0
+        left = _half_crossing(x, t, i, level, -1)
+        right = _half_crossing(x, t, i, level, +1)
+        if left is None or right is None:
+            continue
+        features.append(LineshapeFeature("dip", float(x[i]), float(depth), float(right - left),
+                                         float((x[i] - left) / (right - x[i]))))
+    dip_idx = [i for i in minima if any(f.position == x[i] for f in features)]
+    for a, b in zip(dip_idx[:-1], dip_idx[1:]):
+        if b - a < 2:
+            continue
+        j = a + 1 + int(np.argmax(t[a + 1 : b]))
+        if t[j] <= 0.5:
+            continue
+        level = t[j] / 2.0
+        left = _half_crossing(x, t, j, level, -1)
+        right = _half_crossing(x, t, j, level, +1)
+        if left is None or right is None:
+            continue
+        features.append(LineshapeFeature("peak", float(x[j]), float(t[j]), float(right - left),
+                                         float((x[j] - left) / (right - x[j]))))
+    features.sort(key=lambda f: f.position)
+    return features
+
+
 class TestFeatures:
     def make_grid(self, dk, t):
         dk = np.asarray(dk, dtype=float)
@@ -364,6 +402,29 @@ class TestFeatures:
         )
         with pytest.raises(ValidationError):
             extract_features(contour)
+
+    def test_matches_the_loop_reference(self, trivial_chain, config_a):
+        rng = np.random.default_rng(5)
+        found = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 600))
+            x = np.cumsum(rng.uniform(1e-3, 1e-2, n))
+            t = np.ones(n)
+            for _ in range(int(rng.integers(0, 5))):
+                centre, width = rng.uniform(x[0], x[-1]), rng.uniform(5e-3, 0.2)
+                t *= 1.0 - rng.uniform(0.3, 1.0) / (1.0 + ((x - centre) / width) ** 2)
+            if rng.random() < 0.5:
+                t = np.clip(t + rng.normal(0.0, 0.02, n), 0.0, 1.0)
+            if rng.random() < 0.3:
+                t = np.round(t, 1)  # plateaus: equal neighbours at the minima
+            grid = self.make_grid(x, t)
+            expected = extract_features_loop(grid)
+            assert extract_features(grid) == expected
+            found += len(expected)
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.4, g=0.2, x1=5)
+        grid = sweep_spectrum(config_a, trivial_chain, emitter, np.linspace(-0.35, 0.35, 10001))
+        assert extract_features(grid) == extract_features_loop(grid)
+        assert found > 300
 
     def test_featureless_spectrum_yields_empty_list(self):
         x = np.linspace(-1, 1, 101)
