@@ -21,8 +21,9 @@ into a dense matrix.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +43,10 @@ EMITTER_EMPTY = 1e-6
 WINDOW_CLEAR = 5e-3
 #: per-end probability above which a run is flagged as hitting a chain end
 END_LEAK = 1e-4
+#: evolution steps a transport run may take before it gives up
+_MAX_STEPS = 64
+#: Chebyshev terms held at once by :func:`evolve`, summed by one product
+_BLOCK = 16
 #: lower and upper bandwidth of the positionally ordered boundary-matched
 #: system: the widest reach is the bond from cell x1's B site over e and a
 _HALF_BAND = 3
@@ -92,14 +97,60 @@ class LatticeHamiltonian:
         np.add.at(h, (rows, cols), vals)
         return h
 
+    def _stencil(self):
+        """H as :func:`_hop` applies it: the diagonal and the bonds each
+        repeated twice, for the float64 view of a complex state, and the
+        nonzero couplings as (float index of e, float index of the site,
+        value)."""
+        e = 2 * self.dim - 4
+        links = tuple(
+            (e, 2 * site, g) for site, g in zip(self.sites.tolist(), self.couplings.tolist()) if g
+        )
+        return self.onsite.repeat(2), self.bonds.repeat(2), links
+
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi in O(N) operations."""
-        out = self.onsite * psi
-        out[:-1] += self.bonds * psi[1:]
-        out[1:] += self.bonds * psi[:-1]
-        out[-2] += self.couplings @ psi[self.sites]
-        out[self.sites] += self.couplings * psi[-2]
+        psi = np.ascontiguousarray(psi, dtype=complex)
+        out = np.empty_like(psi)
+        diag, bonds, links = self._stencil()
+        src, dst = _views((psi, out))
+        _hop(dst, src, diag, bonds, links, np.empty(len(bonds)))
         return out
+
+
+def _views(rows) -> list[tuple]:
+    """Each C-contiguous complex vector of ``rows`` as :func:`_hop` reads
+    and writes it: its float64 view, that view less its last and less its
+    first complex entry, and a memoryview of it for the scalar updates."""
+    views = []
+    for row in rows:
+        flat = row.view(np.float64)
+        views.append((flat, flat[:-2], flat[2:], memoryview(flat)))
+    return views
+
+
+def _hop(out, psi, diag, bonds, links, tmp) -> None:
+    """Write A psi into ``out`` in place, the one H-times-state kernel.
+
+    A is real and symmetric, tridiagonal along the basis plus the emitter
+    couplings: H as :meth:`LatticeHamiltonian._stencil` gives it, or the 2X
+    of :func:`evolve`.  The tridiagonal part runs on the float64 views of
+    :func:`_views`, where the real and imaginary parts of a complex entry
+    share its real coefficient, so no array is cast and ``tmp`` (as long as
+    ``bonds``) is the only scratch; each coupling is four scalar updates.
+    """
+    flat, head, tail, mem = out
+    vflat, vhead, vtail, vmem = psi
+    np.multiply(diag, vflat, out=flat)
+    np.multiply(bonds, vtail, out=tmp)
+    np.add(head, tmp, out=head)
+    np.multiply(bonds, vhead, out=tmp)
+    np.add(tail, tmp, out=tail)
+    for e, site, g in links:
+        mem[e] += g * vmem[site]
+        mem[e + 1] += g * vmem[site + 1]
+        mem[site] += g * vmem[e]
+        mem[site + 1] += g * vmem[e + 1]
 
 
 @dataclass(frozen=True)
@@ -289,6 +340,7 @@ def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.array(x[:m])
 
 
+@functools.lru_cache(maxsize=32)
 def _chebyshev_coefficients(x: float) -> np.ndarray:
     """Chebyshev coefficients (2 - [k = 0]) (-i)^k J_k(x) of exp(-i x y) on
     [-1, 1], read off one FFT of exp(-i x cos theta) (Jacobi-Anger).
@@ -297,6 +349,7 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     remain) where Kapteyn's bound |J_k(x)| <= [z e^s / (1 + s)]^k,
     z = |x|/k, s = sqrt(1 - z^2), is below 1e-15; the faster-than-geometric
     decay past k = |x| keeps the truncation error within about ten times that.
+    Memoised on x, since a run repeats one step; the array is read-only.
     """
     order = int(abs(x)) + 2
     while x:
@@ -310,7 +363,16 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     theta = 2.0 * math.pi * np.arange(m) / m
     coeffs = np.fft.fft(np.exp(-1j * x * np.cos(theta)))[:order] / m
     coeffs[1:] *= 2.0
+    coeffs.flags.writeable = False
     return coeffs
+
+
+def _spectral_window(ham: LatticeHamiltonian) -> tuple[float, float]:
+    """Center and half-width of the Gershgorin interval holding H's spectrum."""
+    rows, cols, vals = ham._entries()
+    radius = np.bincount(rows, weights=np.abs(vals) * (rows != cols), minlength=ham.dim)
+    lo, hi = float(np.min(ham.onsite - radius)), float(np.max(ham.onsite + radius))
+    return (hi + lo) / 2.0, (hi - lo) / 2.0 or 1.0
 
 
 def evolve(state: np.ndarray, ham: LatticeHamiltonian, t: float) -> np.ndarray:
@@ -319,24 +381,37 @@ def evolve(state: np.ndarray, ham: LatticeHamiltonian, t: float) -> np.ndarray:
 
     With the spectrum in [c - w, c + w] (Gershgorin bounds) and X = (H - c)/w,
     exp(-i H t) = exp(-i c t) sum_k a_k T_k(X), a_k from
-    :func:`_chebyshev_coefficients` at x = w t; each term costs one O(N)
-    product with H.  The norm is checked to 1e-8 as the method contract.
+    :func:`_chebyshev_coefficients` at x = w t (memoised, so repeated steps
+    reuse them).  The terms follow T_{k+1} = 2X T_k - T_{k-1}, each written
+    in place by :func:`_hop`, the kernel of :meth:`LatticeHamiltonian.apply`,
+    into the next row of a fixed block of ``_BLOCK`` rows; whenever the block
+    is full, one complex matrix-vector product adds its a_k T_k to the sum.
+    Memory is O(N) whatever the number of terms.  The norm is checked to
+    1e-8 as the method contract.
     """
-    rows, cols, vals = ham._entries()
-    radius = np.bincount(rows, weights=np.abs(vals) * (rows != cols), minlength=ham.dim)
-    lo, hi = float(np.min(ham.onsite - radius)), float(np.max(ham.onsite + radius))
-    center, half = (hi + lo) / 2.0, (hi - lo) / 2.0 or 1.0
+    center, half = _spectral_window(ham)
     s = 2.0 / half  # the recurrence runs on 2X
-    two_x = replace(
-        ham, onsite=s * (ham.onsite - center), bonds=s * ham.bonds, couplings=s * ham.couplings
-    )
+    diag, bonds, links = ham._stencil()
+    diag, bonds = s * (diag - center), s * bonds
+    links = tuple((e, site, s * g) for e, site, g in links)
     coeffs = _chebyshev_coefficients(half * t)
-    psi = np.asarray(state, dtype=complex)
-    prev, cur = psi, 0.5 * two_x.apply(psi)
-    out = coeffs[0] * prev + coeffs[1] * cur
-    for a in coeffs[2:]:
-        prev, cur = cur, two_x.apply(cur) - prev
-        out += a * cur
+    block = np.empty((_BLOCK, ham.dim), dtype=complex)
+    views = _views(block)
+    tmp = np.empty(len(bonds))
+    block[0] = state
+    _hop(views[1], views[0], diag, bonds, links, tmp)
+    block[1] *= 0.5
+    out = np.zeros(ham.dim, dtype=complex)
+    for k in range(2, len(coeffs)):
+        j = k % _BLOCK
+        term, older = views[j][0], views[j - 2][0]
+        _hop(views[j], views[j - 1], diag, bonds, links, tmp)
+        np.subtract(term, older, out=term)
+        if j == _BLOCK - 1:
+            out += coeffs[k - j : k + 1] @ block
+    rest = len(coeffs) % _BLOCK
+    if rest:
+        out += coeffs[-rest:] @ block[:rest]
     out *= cmath.exp(-1j * center * t)
     drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(state)))
     if drift > 1e-8:
@@ -433,7 +508,7 @@ def wavepacket_transport(
     t_clear = (start_offset + 2.0 * sigma_x) / speed
     step = sigma_x / (2.0 * speed)
     psi = gaussian_packet(k0, sigma_x, center, params, n_cells)
-    for i in range(64):
+    for i in range(_MAX_STEPS):
         psi = evolve(psi, ham, step if i else t_clear)
         t = t_clear + i * step
         left, right, middle, epop, near, (end_l, end_r) = _probabilities(
@@ -442,6 +517,7 @@ def wavepacket_transport(
         if max(end_l, end_r) > END_LEAK:
             raise ChainTooShortError(
                 f"packet reached a chain end (probabilities {end_l:.2e}/{end_r:.2e}) "
+                f"at t = {t:.6g} after {i + 1} steps "
                 f"with near-emitter probability still {near:.2e}"
             )
         if epop < EMITTER_EMPTY and near < WINDOW_CLEAR:
@@ -449,7 +525,7 @@ def wavepacket_transport(
     else:
         raise IntegrationAccuracyError(
             f"emitter population {epop:.2e} failed to drop below {EMITTER_EMPTY} "
-            "within the evolution budget"
+            f"within the evolution budget: t = {t:.6g} after {_MAX_STEPS} steps"
         )
     norm_drift = abs(float(np.linalg.norm(psi)) - 1.0)
     if norm_drift > 1e-8:

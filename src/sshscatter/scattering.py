@@ -230,13 +230,20 @@ def _potential_terms(delta_k, delta_c, omega_rabi, g):
     if g == 0.0:
         # a decoupled emitter has no potential, and so no pole either
         return 0.0, 1.0
+    eps = _POLE_EPS
     if omega_rabi == 0.0:
         # the metastable level decouples: V = g^2 / delta_k
         num, den = 0.25, delta_k
+    elif omega_rabi > 1.0:
+        # V is their ratio: above Omega = J, num and den (and the pole test)
+        # are divided by Omega^2, which would overflow above about 1e154 J
+        num = (delta_k + delta_c) / omega_rabi / omega_rabi
+        den = 4.0 * delta_k * num - 1.0
+        eps = eps / omega_rabi / omega_rabi
     else:
         num = delta_k + delta_c
         den = 4.0 * delta_k * num - omega_rabi * omega_rabi
-    return num, den * ((abs(den) >= _POLE_EPS) | (num == 0.0))
+    return num, den * ((abs(den) >= eps) | (num == 0.0))
 
 
 def _cell_amplitudes(config, energy, h, phase, params, emitter):
@@ -267,6 +274,18 @@ def _cell_amplitudes(config, energy, h, phase, params, emitter):
         # t and r depend on g only through den / g^2, which is 0 at a pole
         # hit whatever g is: solve those points at g = J
         g1, g2 = config.couplings(np.where(den == 0.0, 1.0, g))
+    elif 1.0 < g < math.inf:
+        # t and r depend on g only through the ratio num g^2 : den.  Above
+        # g = J that pair is scaled by the power of two that brings its
+        # larger member to order 1 and solved at g = J, so that no g^2 times
+        # an energy overflows (above about 1e153 J it would) and d is never
+        # subnormal (which would overflow the complex division)
+        mant, g_exp = math.frexp(g)
+        num = num * mant * mant
+        den_exp = np.frexp(den)[1]
+        shift = np.maximum(np.where(num == 0.0, den_exp, np.frexp(num)[1] + 2 * g_exp), den_exp)
+        num, den = np.ldexp(num, 2 * g_exp - shift), np.ldexp(den, -shift)
+        g1, g2 = config.couplings(1.0)
     h_conj = h.conjugate()
     s = h - h_conj
     c = 4.0 * num

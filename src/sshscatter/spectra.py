@@ -101,24 +101,35 @@ def poles(
     Valid only for ``delta_c = 0``, where the pole equation closes in
     radicals: ``dk = i s +/- sqrt(Omega^2/4 - s^2)`` with the complex
     strength ``s = g^2 omega_k F / (4 t1 t2 sin k)``.  The smaller root is
-    computed as ``-(Omega^2/4)`` over the larger, keeping its precision.
-    Both are solved in units of J, where g^2 and t1 t2 stay in range.
+    computed as ``-(Omega/2)^2`` over the larger, keeping its precision.
+    Both are solved in units of J, where g^2 and t1 t2 stay in range; a
+    strength beyond the range of doubles raises :class:`ValidationError`
+    naming g.
     """
     if emitter.delta_c != 0.0:
         raise UnsupportedFeatureError(
             "closed-form poles require delta_c = 0; sweep the spectrum instead"
         )
     strength = _pole_strength(config, params, emitter, k)[0]
-    rabi = emitter.omega_rabi / params.J
-    quarter = rabi * rabi / 4.0
-    root = cmath.sqrt(quarter - strength * strength)
+    if not cmath.isfinite(strength):
+        raise ValidationError(
+            f"g out of range: {emitter.g} (the pole strength, of order (g/J)^2 J, overflows)"
+        )
+    half = emitter.omega_rabi / params.J / 2.0
+    # above order 1 the discriminant is formed at the power-of-two scale of
+    # the larger of Omega/2 and |s|, exactly, where neither square overflows
+    scale = math.ldexp(1.0, -max(0, math.frexp(max(half, abs(strength)))[1]))
+    s_scaled = strength * scale
+    h_scaled = half * scale
+    r_scaled = cmath.sqrt(h_scaled * h_scaled - s_scaled * s_scaled)
+    root = r_scaled / scale
     # the larger root first, free of cancellation; their product is -Omega^2/4
-    if (1j * strength * root.conjugate()).real >= 0.0:
+    if (1j * s_scaled * r_scaled.conjugate()).real >= 0.0:
         plus = 1j * strength + root
-        minus = -quarter / plus if quarter else 0j
+        minus = -half * (half / plus) if half else 0j
     else:
         minus = 1j * strength - root
-        plus = -quarter / minus if quarter else 0j
+        plus = -half * (half / minus) if half else 0j
     j = params.J  # scaled by parts: a complex times a float may flip a -0
     return PolePair(complex(plus.real * j, plus.imag * j), complex(minus.real * j, minus.imag * j))
 
@@ -159,9 +170,10 @@ def classify_regime(
 
 def lamb_shift(g: float, alpha: float, params: WaveguideParams) -> float:
     """Displacement g^2 a(1-a)/t1 of the transmission zero for split-site
-    coupling (exactly zero for single-site coupling), formed in units of J."""
+    coupling (exactly zero for single-site coupling, even where g^2
+    overflows), formed in units of J."""
     g = g / params.J
-    return g * g * alpha * (1.0 - alpha) / (1.0 + params.delta) * params.J
+    return alpha * (1.0 - alpha) * g * g / (1.0 + params.delta) * params.J
 
 
 def ats_dip_positions(

@@ -233,8 +233,8 @@ class TestParamFileAndErrors:
         assert "Warning" not in err
 
     def test_poles_json_is_strict(self, capsys):
-        # (Omega/J)^2 overflows here and the poles are not finite: any
-        # non-finite part must be written as a string, never as NaN or Infinity
+        # (Omega/J)^2 overflows here; the output must stay strict JSON, with
+        # any non-finite part written as a string, never as NaN or Infinity
         assert run(["poles", "--config", "A", "--omega-rabi", "1e300"]) == 0
 
         def reject(constant):
@@ -243,6 +243,43 @@ class TestParamFileAndErrors:
         json.loads(capsys.readouterr().out, parse_constant=reject)
         assert cli._jsonify(complex(math.nan, -math.inf)) == ["nan", "-inf"]
         assert cli._jsonify(complex(1.0, -0.0)) == [1.0, -0.0]
+
+    @pytest.mark.parametrize("value", ["1e200", "1e300"])
+    @pytest.mark.parametrize("flag, field", [("--g", "g"), ("--omega-rabi", "omega_rabi")])
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--config", "A", "--dk-steps", "5"],
+        ["contour", "--config", "A", "--dk-steps", "5", "--omega-rabi-steps", "3"],
+        ["features", "--config", "A", "--dk-steps", "51"],
+        ["poles", "--config", "A"],
+        ["poles", "--config", "AB", "--alpha", "0.3"],
+    ], ids=["spectrum", "contour", "features", "poles", "poles-AB"])
+    def test_huge_coupling_or_drive_is_finite_or_named(self, capsys, argv, flag, field, value):
+        # (g/J)^2 and (Omega/J)^2 overflow: the answer is finite (the
+        # potential enters only as a ratio) or a usage error naming the field
+        code = run(["--format", "json", *argv, f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert "Warning" not in captured.err
+        if code == 2:
+            assert re.search(rf"\b{field}\b", captured.err), captured.err
+            return
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        json.loads(captured.out, parse_constant=reject)
+        assert not re.search(r'"-?(nan|inf)"', captured.out), captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["contour", "--config", "AB", "--alpha", "0.3", "--dk-steps", "5",
+         "--omega-rabi-max", "1e300", "--omega-rabi-steps", "4", "--g", "1e300"],
+        ["spectrum", "--config", "B", "--dk-steps", "9", "--omega-rabi", "1e300", "--g", "1e300"],
+    ], ids=["contour", "spectrum"])
+    def test_huge_coupling_and_drive_together_are_finite(self, capsys, argv):
+        assert run(["--format", "json", *argv]) == 0
+        captured = capsys.readouterr()
+        assert "Warning" not in captured.err
+        assert not re.search(r'"-?(nan|inf)"', captured.out), captured.out
 
     def test_underflowing_coupling_poles(self, capsys):
         assert run(["poles", "--config", "A", "--omega-rabi", "0.2", "--g", "1e-170"]) == 0

@@ -27,11 +27,17 @@ from sshscatter import (
 )
 from sshscatter.errors import (
     ChainTooShortError,
+    IntegrationAccuracyError,
     PlacementError,
     PotentialSingularityError,
     ValidationError,
 )
-from sshscatter.lattice import packet_momentum_weights
+from sshscatter.lattice import (
+    _BLOCK,
+    _chebyshev_coefficients,
+    _spectral_window,
+    packet_momentum_weights,
+)
 
 
 def dense_reference_solve(omega, n, params, emitter, config, band=Band.UPPER):
@@ -100,6 +106,17 @@ class TestBuildHamiltonian:
         rng = np.random.default_rng(x1)
         psi = rng.normal(size=ham.dim) + 1j * rng.normal(size=ham.dim)
         np.testing.assert_allclose(ham.apply(psi), ham.matrix @ psi, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_apply_leaves_its_input_untouched(self, topological_chain, variant):
+        # the product is written in place into fresh storage, never into psi
+        emitter = EmitterParams(omega_e=1.5, delta_c=0.07, omega_rabi=0.3, g=0.2, x1=6)
+        ham = build_hamiltonian(12, topological_chain, emitter, CouplingConfig(variant, 0.3))
+        rng = np.random.default_rng(5)
+        for psi in (rng.normal(size=ham.dim), rng.normal(size=ham.dim) + 1j * rng.normal(size=ham.dim)):
+            kept = psi.copy()
+            np.testing.assert_allclose(ham.apply(psi), ham.matrix @ psi, rtol=0, atol=1e-14)
+            assert np.array_equal(psi, kept)
 
     @pytest.mark.parametrize("variant,site", [(Variant.A, 0), (Variant.B, 1)])
     @pytest.mark.parametrize("x1", [1, 5, 12])
@@ -308,6 +325,56 @@ class TestEvolve:
         two_steps = evolve(evolve(psi, ham, 13.1), ham, 29.4)
         np.testing.assert_allclose(two_steps, evolve(psi, ham, 42.5), rtol=0, atol=1e-12)
 
+    @staticmethod
+    def _time_for_terms(ham, n):
+        """The shortest time whose expansion keeps exactly n terms."""
+        count = lambda x: len(_chebyshev_coefficients.__wrapped__(x))
+        lo, hi = 0.0, float(n)
+        for _ in range(80):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if count(mid) < n else (lo, mid)
+        assert count(hi) == n
+        return hi / _spectral_window(ham)[1]
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("n_terms", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2])
+    def test_block_boundaries_match_eigh(self, topological_chain, variant, n_terms):
+        # the terms are summed a block of _BLOCK at a time: a sum that ends
+        # just before, at and just after a block boundary must lose nothing.
+        # Two terms is the fewest the truncation keeps, which t = 0 also gets
+        emitter = EmitterParams(omega_e=1.5, delta_c=0.05, omega_rabi=0.3, g=0.4, x1=6)
+        ham = build_hamiltonian(12, topological_chain, emitter, CouplingConfig(variant, 0.3))
+        rng = np.random.default_rng(23)
+        psi = rng.normal(size=ham.dim) + 1j * rng.normal(size=ham.dim)
+        psi /= np.linalg.norm(psi)
+        vals, vecs = np.linalg.eigh(ham.matrix)
+        assert len(_chebyshev_coefficients(0.0)) == 2
+        for t in (0.0, self._time_for_terms(ham, n_terms)):
+            reference = vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ psi))
+            np.testing.assert_allclose(evolve(psi, ham, t), reference, rtol=0, atol=1e-12)
+
+    def test_coefficients_are_memoised_read_only(self):
+        coeffs = _chebyshev_coefficients(12.5)
+        assert _chebyshev_coefficients(12.5) is coeffs
+        with pytest.raises(ValueError):
+            coeffs[0] = 0.0
+
+    def test_memory_does_not_grow_with_the_terms(self, trivial_chain, config_ab):
+        # about 3300 terms of 1202 complex entries: keeping them all would
+        # take about 60 MB, the fixed block of _BLOCK terms well under 1 MB
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=300)
+        ham = build_hamiltonian(600, trivial_chain, emitter, config_ab)
+        psi = gaussian_packet(1.5, 20.0, 200, trivial_chain, 600)
+        assert len(_chebyshev_coefficients(_spectral_window(ham)[1] * 1500.0)) > 3000
+        _chebyshev_coefficients.cache_clear()
+        tracemalloc.start()
+        try:
+            evolve(psi, ham, 1500.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
     def test_long_run_norm(self, trivial_chain, config_a):
         emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=200)
         ham = build_hamiltonian(400, trivial_chain, emitter, config_a)
@@ -366,6 +433,30 @@ class TestWavepacket:
             return wavepacket_transport(k0, 20.0, 400, wg, emitter, config_ab).transmitted
 
         assert transmitted(2.0**exponent) == transmitted(1.0)
+
+    def test_repeated_runs_are_identical(self, trivial_chain, topological_chain, config_ab):
+        # the memoised coefficients must not make a run depend on the runs before it
+        def run(chain, omega_rabi):
+            emitter = EmitterParams(omega_e=1.5, omega_rabi=omega_rabi, g=0.2, x1=200)
+            k0 = momentum_from_energy(1.62, chain)
+            return wavepacket_transport(k0, 20.0, 400, chain, emitter, config_ab)
+
+        first = run(trivial_chain, 0.4)
+        run(topological_chain, 0.0)
+        assert run(trivial_chain, 0.4) == first
+
+    @pytest.mark.parametrize("n_cells, error, steps", [
+        (600, ChainTooShortError, r"after \d+ steps"),
+        (1500, IntegrationAccuracyError, "after 64 steps"),
+    ])
+    def test_resonant_topological_run_names_its_time(self, trivial_chain, n_cells, error, steps):
+        # two-site coupling on delta = +0.5 at resonance decays too slowly for
+        # the step budget: on 600 cells the packet reaches a chain end first
+        emitter = EmitterParams(omega_e=1.5, g=0.2, x1=n_cells // 2)
+        k0 = momentum_from_energy(1.5, trivial_chain)
+        with pytest.raises(error, match=rf"t = \d+(\.\d+)? {steps}"):
+            wavepacket_transport(k0, 20.0, n_cells, trivial_chain, emitter,
+                                 CouplingConfig(Variant.AB, 0.5))
 
     def test_carrier_outside_window_rejected(self, trivial_chain, resonant_emitter, config_a):
         with pytest.raises(ValidationError):

@@ -613,3 +613,55 @@ class TestSubnormalCoupling:
         assert abs(r - reflectance(config, 1.5, trivial_chain, normal)) <= 1e-12
         # off the pole the potential is below 1e-300
         assert abs(transmittance(config, 1.6, trivial_chain, tiny) - 1.0) <= 1e-15
+
+
+class TestStrongCouplingAndDrive:
+    """A coupling or drive above J, up to where its square overflows.
+
+    The potential 4 g^2 num/den enters t and r only as a ratio: above
+    Omega = J num and den are divided by Omega^2, above g = J the pair
+    (num g^2, den) is scaled by a power of two, so no product overflows.
+    """
+
+    @pytest.mark.parametrize("g, omega_rabi", [(1.7, 0.4), (0.2, 2.5), (3.0, 40.0), (1e5, 1e3)])
+    @pytest.mark.parametrize(
+        "config",
+        [CouplingConfig(Variant.A), CouplingConfig(Variant.B), CouplingConfig(Variant.AB, 0.3)],
+        ids=["A", "B", "AB"],
+    )
+    def test_three_routes_agree(self, trivial_chain, config, g, omega_rabi):
+        emitter = EmitterParams(omega_e=1.5, delta_c=0.03, omega_rabi=omega_rabi, g=g, x1=5)
+        t = transmittance(config, 1.62, trivial_chain, emitter)
+        r = reflectance(config, 1.62, trivial_chain, emitter)
+        k = momentum_from_energy(1.62, trivial_chain)
+        route = scattering_matrix(transfer_matrix(config, k, trivial_chain, emitter))
+        sol = boundary_matched_solve(1.62, 32, trivial_chain, emitter, config)
+        assert abs(t) ** 2 + abs(r) ** 2 == pytest.approx(1.0, abs=1e-12)
+        for t_other, r_other in ((route.t_left, route.r_left), (sol.t_num, sol.r_num)):
+            assert abs(t_other - t) < 1e-10
+            assert abs(r_other - r) < 1e-10
+
+    @pytest.mark.parametrize("g", [0.2, 1e154, 1.3e154, 1e300])
+    @pytest.mark.parametrize("omega_rabi", [0.0, 0.4, 1e154, 1e300])
+    @pytest.mark.parametrize("alpha", [1.0, 0.0, 0.3])
+    def test_finite_and_flux_conserving(self, trivial_chain, g, omega_rabi, alpha):
+        # dk = -delta_c = 1/16 (exact) is the two-photon zero of the driven
+        # potential, where V = 0 however large g is
+        variant = {1.0: Variant.A, 0.0: Variant.B}.get(alpha, Variant.AB)
+        config = CouplingConfig(variant, alpha)
+        emitter = EmitterParams(omega_e=1.5, delta_c=-0.0625, omega_rabi=omega_rabi, g=g, x1=5)
+        omegas = np.array([1.45, 1.5625, 1.6])
+        in_band, t, r = amplitude_grid(config, omegas, trivial_chain, emitter)
+        assert in_band.all()
+        assert np.isfinite(t).all() and np.isfinite(r).all()
+        np.testing.assert_allclose(np.abs(t) ** 2 + np.abs(r) ** 2, 1.0, rtol=0, atol=1e-12)
+        if omega_rabi > 0.0:
+            assert abs(t[1] - 1.0) < 1e-12
+        if g > 1e150 and omega_rabi < 1.0:
+            # off that zero the potential is infinite to double precision:
+            # the same amplitudes as at g = 1e100 J (a mirror for one site)
+            strong = EmitterParams(omega_e=1.5, delta_c=-0.0625, omega_rabi=omega_rabi, g=1e100, x1=5)
+            t_ref = amplitude_grid(config, omegas, trivial_chain, strong)[1]
+            np.testing.assert_allclose(t[[0, 2]], t_ref[[0, 2]], rtol=0, atol=1e-12)
+            if variant is not Variant.AB:
+                assert np.abs(t[[0, 2]]).max() < 1e-12

@@ -132,6 +132,10 @@ class TestLambShift:
         assert lamb_shift(0.2, 1.0, trivial_chain) == 0.0
         assert lamb_shift(0.2, 0.0, trivial_chain) == 0.0
 
+    def test_single_site_unshifted_where_g_squared_overflows(self, trivial_chain):
+        assert lamb_shift(1e300, 1.0, trivial_chain) == 0.0
+        assert lamb_shift(1e300, 0.0, trivial_chain) == 0.0
+
     def test_trivial_phase_value(self, trivial_chain):
         assert lamb_shift(0.2, 0.5, trivial_chain) == pytest.approx(1.0 / 150.0, rel=1e-12)
 
