@@ -63,17 +63,15 @@ class LatticeHamiltonian:
     """Single-excitation Hamiltonian on the basis [A1, B1, ..., AN, BN, e, a],
     stored as its diagonal ``onsite``, the ``bonds`` between neighbors in
     that order (-t1/-t2 alternating, 0 from BN to e, Omega/2 from e to a),
-    and the ``couplings`` (g1, g2) of e to the two ``sites`` of cell ``x1``.
+    and the ``couplings`` (g1, g2) of e to the two ``sites`` of the coupling cell.
     Single-site variants are alpha = 1 or 0: one of the couplings is exactly
-    0 and contributes nothing."""
+    0 and contributes nothing.  What depends on H alone is built on first use
+    and kept; :func:`build_hamiltonian` makes the arrays read-only."""
 
     onsite: np.ndarray
     bonds: np.ndarray
     sites: np.ndarray
     couplings: np.ndarray
-    n_cells: int
-    x1: int
-    config: CouplingConfig
 
     @property
     def dim(self) -> int:
@@ -97,24 +95,36 @@ class LatticeHamiltonian:
         np.add.at(h, (rows, cols), vals)
         return h
 
+    @functools.cached_property
     def _stencil(self):
         """H as :func:`_hop` applies it: the diagonal and the bonds each
         repeated twice, for the float64 view of a complex state, and the
         nonzero couplings as (float index of e, float index of the site,
         value)."""
-        e = 2 * self.dim - 4
-        links = tuple(
-            (e, 2 * site, g) for site, g in zip(self.sites.tolist(), self.couplings.tolist()) if g
-        )
+        pairs = zip(self.sites.tolist(), self.couplings.tolist())
+        links = tuple((2 * self.dim - 4, 2 * site, g) for site, g in pairs if g)
         return self.onsite.repeat(2), self.bonds.repeat(2), links
+
+    @functools.cached_property
+    def _chebyshev(self):
+        """(c, w, 2X), the set-up of :func:`evolve`: the center and half-width
+        of the Gershgorin interval holding H's spectrum, and 2X = 2 (H - c)/w
+        as :attr:`_stencil` gives H."""
+        rows, cols, vals = self._entries()
+        radius = np.bincount(rows, weights=np.abs(vals) * (rows != cols), minlength=self.dim)
+        lo, hi = float(np.min(self.onsite - radius)), float(np.max(self.onsite + radius))
+        center, half = (hi + lo) / 2.0, (hi - lo) / 2.0 or 1.0
+        s = 2.0 / half
+        diag, bonds, links = self._stencil
+        links = tuple((e, site, s * g) for e, site, g in links)
+        return center, half, (s * (diag - center), s * bonds, links)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi in O(N) operations."""
         psi = np.ascontiguousarray(psi, dtype=complex)
         out = np.empty_like(psi)
-        diag, bonds, links = self._stencil()
         src, dst = _views((psi, out))
-        _hop(dst, src, diag, bonds, links, np.empty(len(bonds)))
+        _hop(dst, src, self._stencil, np.empty(2 * self.dim - 2))
         return out
 
 
@@ -129,18 +139,19 @@ def _views(rows) -> list[tuple]:
     return views
 
 
-def _hop(out, psi, diag, bonds, links, tmp) -> None:
+def _hop(out, psi, stencil, tmp) -> None:
     """Write A psi into ``out`` in place, the one H-times-state kernel.
 
     A is real and symmetric, tridiagonal along the basis plus the emitter
-    couplings: H as :meth:`LatticeHamiltonian._stencil` gives it, or the 2X
-    of :func:`evolve`.  The tridiagonal part runs on the float64 views of
-    :func:`_views`, where the real and imaginary parts of a complex entry
-    share its real coefficient, so no array is cast and ``tmp`` (as long as
-    ``bonds``) is the only scratch; each coupling is four scalar updates.
+    couplings: ``stencil`` is H as :attr:`LatticeHamiltonian._stencil` gives
+    it, or the 2X of :func:`evolve`.  The tridiagonal part runs on the float64
+    views of :func:`_views`, where the real and imaginary parts of a complex
+    entry share its real coefficient, so no array is cast and ``tmp`` (as
+    long as ``bonds``) is the only scratch; each coupling is four scalar updates.
     """
     flat, head, tail, mem = out
     vflat, vhead, vtail, vmem = psi
+    diag, bonds, links = stencil
     np.multiply(diag, vflat, out=flat)
     np.multiply(bonds, vtail, out=tmp)
     np.add(head, tmp, out=head)
@@ -199,7 +210,9 @@ def build_hamiltonian(
     bonds[2 * n] = emitter.omega_rabi / 2.0
     sites = np.array([2 * x1 - 2, 2 * x1 - 1])
     couplings = np.array(config.couplings(emitter.g))
-    return LatticeHamiltonian(onsite, bonds, sites, couplings, n, x1, config)
+    for field in (onsite, bonds, sites, couplings):
+        field.setflags(write=False)
+    return LatticeHamiltonian(onsite, bonds, sites, couplings)
 
 
 def boundary_matched_solve(
@@ -262,15 +275,15 @@ def boundary_matched_solve(
     vals = vals - omega * (rows == states)
     keep = (rows != 0) & (rows != 2 * n - 1) & (vals != 0)
     vals, eqs, states = vals[keep], pos[rows[keep]], states[keep]
-    band = np.zeros((2 * n, 2 * _HALF_BAND + 1), dtype=complex)
-    np.add.at(band, (eqs, pos[states] - eqs + _HALF_BAND), vals * factor[states])
+    banded = np.zeros((2 * n, 2 * _HALF_BAND + 1), dtype=complex)
+    np.add.at(banded, (eqs, pos[states] - eqs + _HALF_BAND), vals * factor[states])
     rhs = np.zeros(2 * n, dtype=complex)
     np.add.at(rhs, eqs, -vals * const[states])
     try:
         if n >= _BAND_SOLVE_MIN_CELLS:
-            sol = _band_solve(band, rhs)
+            sol = _band_solve(banded, rhs)
         else:
-            sol = np.linalg.solve(_dense(band), rhs)
+            sol = np.linalg.solve(_dense(banded), rhs)
     except np.linalg.LinAlgError as exc:
         raise PotentialSingularityError(
             f"boundary-matched system singular at omega = {omega}: {exc}",
@@ -367,14 +380,6 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
     return coeffs
 
 
-def _spectral_window(ham: LatticeHamiltonian) -> tuple[float, float]:
-    """Center and half-width of the Gershgorin interval holding H's spectrum."""
-    rows, cols, vals = ham._entries()
-    radius = np.bincount(rows, weights=np.abs(vals) * (rows != cols), minlength=ham.dim)
-    lo, hi = float(np.min(ham.onsite - radius)), float(np.max(ham.onsite + radius))
-    return (hi + lo) / 2.0, (hi - lo) / 2.0 or 1.0
-
-
 def evolve(state: np.ndarray, ham: LatticeHamiltonian, t: float) -> np.ndarray:
     """Unitary evolution exp(-i H t) by a Chebyshev expansion (Tal-Ezer and
     Kosloff, J. Chem. Phys. 81, 3967 (1984)).
@@ -386,27 +391,22 @@ def evolve(state: np.ndarray, ham: LatticeHamiltonian, t: float) -> np.ndarray:
     in place by :func:`_hop`, the kernel of :meth:`LatticeHamiltonian.apply`,
     into the next row of a fixed block of ``_BLOCK`` rows; whenever the block
     is full, one complex matrix-vector product adds its a_k T_k to the sum.
-    Memory is O(N) whatever the number of terms.  The norm is checked to
-    1e-8 as the method contract.
+    Memory is O(N) whatever the number of terms.  c, w and 2X are set up
+    once per Hamiltonian.  The norm is checked to 1e-8 as the method contract.
     """
-    center, half = _spectral_window(ham)
-    s = 2.0 / half  # the recurrence runs on 2X
-    diag, bonds, links = ham._stencil()
-    diag, bonds = s * (diag - center), s * bonds
-    links = tuple((e, site, s * g) for e, site, g in links)
+    center, half, stencil = ham._chebyshev
     coeffs = _chebyshev_coefficients(half * t)
     block = np.empty((_BLOCK, ham.dim), dtype=complex)
     views = _views(block)
-    tmp = np.empty(len(bonds))
+    tmp = np.empty(2 * ham.dim - 2)
     block[0] = state
-    _hop(views[1], views[0], diag, bonds, links, tmp)
+    _hop(views[1], views[0], stencil, tmp)
     block[1] *= 0.5
     out = np.zeros(ham.dim, dtype=complex)
     for k in range(2, len(coeffs)):
         j = k % _BLOCK
-        term, older = views[j][0], views[j - 2][0]
-        _hop(views[j], views[j - 1], diag, bonds, links, tmp)
-        np.subtract(term, older, out=term)
+        _hop(views[j], views[j - 1], stencil, tmp)
+        np.subtract(views[j][0], views[j - 2][0], out=views[j][0])
         if j == _BLOCK - 1:
             out += coeffs[k - j : k + 1] @ block
     rest = len(coeffs) % _BLOCK

@@ -78,16 +78,29 @@ class LineshapeFeature:
     asymmetry: float
 
 
+def _unscale(x: float, n: int, params: WaveguideParams) -> float:
+    """x 2^n J: from units of J, at the scale 2^-n, back to absolute units
+    (exactly at J = 1); +-inf where that overflows."""
+    if not n:
+        return x * params.J
+    j_exp = math.frexp(params.J)[1] - 1  # J 2^-j_exp in [1, 2)
+    try:
+        return math.ldexp(x * math.ldexp(params.J, -j_exp), n + j_exp)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def _pole_strength(config, params, emitter, k):
-    """(s, F, omega_k, sin k, g) with s, omega_k and g in units of J."""
+    """(s, n): the pole strength in units of J is s 2^n, formed with g/J
+    above order 1 at the power-of-two scale 2^-n/2, where its square fits."""
     h = h_over_j(k, params)
     require_dispersive(params, k)
-    sink = math.sin(k)
     fac = interference_factor(cmath.phase(h), config.alpha)
     g = emitter.g / params.J
-    omega_k = abs(h)
+    m = math.frexp(g)[1] if g >= 1.0 else 0
+    g = math.ldexp(g, -m)
     a, b = 1.0 + params.delta, 1.0 - params.delta
-    return g * g * omega_k * fac / (4.0 * a * b * sink), fac, omega_k, sink, g
+    return g * g * abs(h) * fac / (4.0 * a * b * math.sin(k)), 2 * m
 
 
 def poles(
@@ -100,38 +113,43 @@ def poles(
 
     Valid only for ``delta_c = 0``, where the pole equation closes in
     radicals: ``dk = i s +/- sqrt(Omega^2/4 - s^2)`` with the complex
-    strength ``s = g^2 omega_k F / (4 t1 t2 sin k)``.  The smaller root is
-    computed as ``-(Omega/2)^2`` over the larger, keeping its precision.
-    Both are solved in units of J, where g^2 and t1 t2 stay in range; a
-    strength beyond the range of doubles raises :class:`ValidationError`
-    naming g.
+    strength ``s = g^2 omega_k F / (4 t1 t2 sin k)``.  The larger root is
+    solved in units of J and scaled back once, the smaller is -(Omega/2)^2
+    over it; a pole beyond the range of doubles raises ValidationError.
     """
     if emitter.delta_c != 0.0:
         raise UnsupportedFeatureError(
             "closed-form poles require delta_c = 0; sweep the spectrum instead"
         )
-    strength = _pole_strength(config, params, emitter, k)[0]
-    if not cmath.isfinite(strength):
-        raise ValidationError(
-            f"g out of range: {emitter.g} (the pole strength, of order (g/J)^2 J, overflows)"
-        )
+    strength, exponent = _pole_strength(config, params, emitter, k)
     half = emitter.omega_rabi / params.J / 2.0
-    # above order 1 the discriminant is formed at the power-of-two scale of
-    # the larger of Omega/2 and |s|, exactly, where neither square overflows
-    scale = math.ldexp(1.0, -max(0, math.frexp(max(half, abs(strength)))[1]))
+    # the discriminant at the power-of-two scale of the larger of Omega/2
+    # and |s| (at most 2^1023 up), exactly, where no square over- or underflows
+    top = math.frexp(half)[1]
+    if strength:
+        top = max(top, math.frexp(abs(strength))[1] + exponent)
+    if top < exponent - 1023:
+        top = exponent - 1023
+    scale = math.ldexp(1.0, exponent - top)
     s_scaled = strength * scale
-    h_scaled = half * scale
+    h_scaled = math.ldexp(half, -top)
     r_scaled = cmath.sqrt(h_scaled * h_scaled - s_scaled * s_scaled)
     root = r_scaled / scale
-    # the larger root first, free of cancellation; their product is -Omega^2/4
-    if (1j * s_scaled * r_scaled.conjugate()).real >= 0.0:
-        plus = 1j * strength + root
-        minus = -half * (half / plus) if half else 0j
-    else:
-        minus = 1j * strength - root
-        plus = -half * (half / minus) if half else 0j
-    j = params.J  # scaled by parts: a complex times a float may flip a -0
-    return PolePair(complex(plus.real * j, plus.imag * j), complex(minus.real * j, minus.imag * j))
+    # the larger root first, free of cancellation, at the scale of s, then
+    # scaled back by parts: a complex times a float may flip a -0
+    plus = (1j * s_scaled * r_scaled.conjugate()).real >= 0.0
+    larger = 1j * strength + root if plus else 1j * strength - root
+    larger = complex(
+        _unscale(larger.real, exponent, params), _unscale(larger.imag, exponent, params)
+    )
+    if not cmath.isfinite(larger):
+        raise ValidationError(
+            f"g out of range: {emitter.g} (a pole, of order g^2/J, overflows)"
+        )
+    # their product is -Omega^2/4
+    half = emitter.omega_rabi / 2.0
+    smaller = -half * (half / larger) if half else 0j
+    return PolePair(larger, smaller) if plus else PolePair(smaller, larger)
 
 
 def classify_regime(
@@ -142,23 +160,17 @@ def classify_regime(
 ) -> RegimeLabel:
     """Classify the expected lineshape by the control-field strength ratio.
 
-    ratio = |Omega| 2 t1 t2 |sin k| / (g^2 omega_k |F|), formed in units of
-    J; below 0.25 the response is a single Lorentzian dip, above 4 an
-    Autler-Townes doublet, in between a transparency window.
+    ratio = |Omega/2| / |s| with the pole strength s of :func:`poles`; below
+    0.25 the response is a single Lorentzian dip, above 4 an Autler-Townes
+    doublet, in between a transparency window.
     """
-    _, fac, omega_k, sink, g = _pole_strength(config, params, emitter, k)
+    strength, exponent = _pole_strength(config, params, emitter, k)
     if emitter.omega_rabi == 0.0:
         ratio = 0.0
-    elif g == 0.0:
+    elif strength == 0.0:
         ratio = math.inf
     else:
-        # divided by g twice, not by g^2: g^2 underflows to 0 for g below
-        # about 1e-162 J, where the ratio should overflow to inf as at g = 0
-        ratio = (
-            abs(emitter.omega_rabi) / params.J / g / g
-            * 2.0 * (1.0 + params.delta) * (1.0 - params.delta) * abs(sink)
-            / (omega_k * abs(fac))
-        )
+        ratio = math.ldexp(abs(emitter.omega_rabi) / params.J / 2.0 / abs(strength), -exponent)
     if ratio < RATIO_LORENTZIAN_MAX:
         label = "lorentzian"
     elif ratio <= RATIO_EIT_MAX:
@@ -171,9 +183,11 @@ def classify_regime(
 def lamb_shift(g: float, alpha: float, params: WaveguideParams) -> float:
     """Displacement g^2 a(1-a)/t1 of the transmission zero for split-site
     coupling (exactly zero for single-site coupling, even where g^2
-    overflows), formed in units of J."""
+    overflows), formed in units of J with g/J above order 1 at scale 2^-m."""
     g = g / params.J
-    return alpha * (1.0 - alpha) * g * g / (1.0 + params.delta) * params.J
+    m = math.frexp(g)[1] if g >= 1.0 else 0
+    g = math.ldexp(g, -m)
+    return _unscale(alpha * (1.0 - alpha) * g * g / (1.0 + params.delta), 2 * m, params)
 
 
 def ats_dip_positions(
@@ -254,6 +268,17 @@ def _half_crossing(x, y, i_from, level, direction):
     return None
 
 
+def _feature(kind, x, t, i, level, depth):
+    """The dip or peak at sample i with its width at ``level``, or None
+    where a crossing of that level falls outside the grid."""
+    left = _half_crossing(x, t, i, level, -1)
+    right = _half_crossing(x, t, i, level, +1)
+    if left is None or right is None:
+        return None
+    asymmetry = (x[i] - left) / (right - x[i])
+    return LineshapeFeature(kind, float(x[i]), float(depth), float(right - left), float(asymmetry))
+
+
 def extract_features(spectrum: SpectrumGrid) -> list[LineshapeFeature]:
     """Extract dips (T < 0.5 minima) and the transparency peaks between them.
 
@@ -275,44 +300,19 @@ def extract_features(spectrum: SpectrumGrid) -> list[LineshapeFeature]:
     features, dip_idx = [], []
     for i in minima.tolist():
         depth = 1.0 - t[i]
-        level = 1.0 - depth / 2.0
-        left = _half_crossing(x, t, i, level, -1)
-        right = _half_crossing(x, t, i, level, +1)
-        if left is None or right is None:
-            continue
-        dip_idx.append(i)
-        features.append(
-            LineshapeFeature(
-                kind="dip",
-                position=float(x[i]),
-                depth=float(depth),
-                fwhm=float(right - left),
-                asymmetry=float((x[i] - left) / (right - x[i])),
-            )
-        )
+        dip = _feature("dip", x, t, i, 1.0 - depth / 2.0, depth)
+        if dip is not None:
+            dip_idx.append(i)
+            features.append(dip)
 
     # One transparency peak per gap between adjacent dips: the highest
     # sample in the open interval, if it clears T = 0.5.
     for a, b in zip(dip_idx[:-1], dip_idx[1:]):
         if b - a < 2:
             continue
-        seg = slice(a + 1, b)
-        j = a + 1 + int(np.argmax(t[seg]))
-        if t[j] <= 0.5:
-            continue
-        level = t[j] / 2.0
-        left = _half_crossing(x, t, j, level, -1)
-        right = _half_crossing(x, t, j, level, +1)
-        if left is None or right is None:
-            continue
-        features.append(
-            LineshapeFeature(
-                kind="peak",
-                position=float(x[j]),
-                depth=float(t[j]),
-                fwhm=float(right - left),
-                asymmetry=float((x[j] - left) / (right - x[j])),
-            )
-        )
+        j = a + 1 + int(np.argmax(t[a + 1 : b]))
+        peak = _feature("peak", x, t, j, t[j] / 2.0, t[j]) if t[j] > 0.5 else None
+        if peak is not None:
+            features.append(peak)
     features.sort(key=lambda f: f.position)
     return features

@@ -35,7 +35,6 @@ from sshscatter.errors import (
 from sshscatter.lattice import (
     _BLOCK,
     _chebyshev_coefficients,
-    _spectral_window,
     packet_momentum_weights,
 )
 
@@ -334,7 +333,7 @@ class TestEvolve:
             mid = (lo + hi) / 2.0
             lo, hi = (mid, hi) if count(mid) < n else (lo, mid)
         assert count(hi) == n
-        return hi / _spectral_window(ham)[1]
+        return hi / ham._chebyshev[1]
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("n_terms", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2])
@@ -365,7 +364,7 @@ class TestEvolve:
         emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=300)
         ham = build_hamiltonian(600, trivial_chain, emitter, config_ab)
         psi = gaussian_packet(1.5, 20.0, 200, trivial_chain, 600)
-        assert len(_chebyshev_coefficients(_spectral_window(ham)[1] * 1500.0)) > 3000
+        assert len(_chebyshev_coefficients(ham._chebyshev[1] * 1500.0)) > 3000
         _chebyshev_coefficients.cache_clear()
         tracemalloc.start()
         try:
@@ -374,6 +373,31 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_set_up_is_built_once_and_cannot_go_stale(self, topological_chain, variant):
+        # apply and evolve read what they need of H from values the
+        # Hamiltonian keeps; its arrays are read-only, so those values
+        # stay H's, and a reused Hamiltonian answers as a fresh one does
+        emitter = EmitterParams(omega_e=1.5, delta_c=0.05, omega_rabi=0.3, g=0.4, x1=6)
+        config = CouplingConfig(variant, 0.3)
+        ham = build_hamiltonian(12, topological_chain, emitter, config)
+        for field in (ham.onsite, ham.bonds, ham.sites, ham.couplings):
+            with pytest.raises(ValueError):
+                field[0] = 1
+        rng = np.random.default_rng(29)
+        psi = rng.normal(size=ham.dim) + 1j * rng.normal(size=ham.dim)
+        psi /= np.linalg.norm(psi)
+        first, second = evolve(psi, ham, 3.7), evolve(psi, ham, 41.0)
+        assert ham._chebyshev is ham._chebyshev and ham._stencil is ham._stencil
+
+        def fresh():
+            return build_hamiltonian(12, topological_chain, emitter, config)
+
+        assert np.array_equal(evolve(psi, fresh(), 3.7), first)
+        assert np.array_equal(evolve(psi, fresh(), 41.0), second)
+        assert np.array_equal(evolve(psi, ham, 3.7), first)
+        assert np.array_equal(ham.apply(psi), fresh().apply(psi))
 
     def test_long_run_norm(self, trivial_chain, config_a):
         emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=200)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from sshscatter import (
     bloch_point,
     classify_regime,
     extract_features,
+    interference_factor,
     lamb_shift,
     momentum_from_energy,
     momentum_grid,
@@ -23,6 +25,7 @@ from sshscatter import (
     sweep_spectrum,
     transmittance,
 )
+from sshscatter.cli import run
 from sshscatter.errors import (
     BandEdgeError,
     EmptyGridError,
@@ -141,6 +144,125 @@ class TestLambShift:
 
     def test_topological_phase_is_larger(self, topological_chain):
         assert lamb_shift(0.2, 0.5, topological_chain) == pytest.approx(0.02, rel=1e-12)
+
+
+def ratio_reference(config, params, emitter, k):
+    """The regime ratio as first written: |Omega| 2 t1 t2 |sin k| /
+    (g^2 omega_k |F|) in units of J, dividing by g twice."""
+    h = -(1.0 + params.delta) - (1.0 - params.delta) * complex(math.cos(k), -math.sin(k))
+    fac = interference_factor(math.atan2(h.imag, h.real), config.alpha)
+    g = emitter.g / params.J
+    return (
+        abs(emitter.omega_rabi) / params.J / g / g
+        * 2.0 * (1.0 + params.delta) * (1.0 - params.delta) * abs(math.sin(k))
+        / (abs(h) * abs(fac))
+    )
+
+
+def textbook_poles(config, params, emitter, k):
+    """(s, roots) in 50 digits, in absolute units: s = g^2 omega_k F /
+    (4 t1 t2 sin k) and the roots i s +/- sqrt(Omega^2/4 - s^2) of
+    dk^2 - 2 i s dk - Omega^2/4 = 0, the smaller as -(Omega/2)^2 over the
+    larger (their difference would cancel all 50 digits at g = 0.2)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        j, delta, k = mp.mpf(params.J), mp.mpf(params.delta), mp.mpf(k)
+        t1, t2 = j * (1 + delta), j * (1 - delta)
+        h = -t1 - t2 * mp.exp(-1j * k)
+        alpha = mp.mpf(config.alpha)
+        fac = 2 * alpha * (1 - alpha) * (mp.exp(-1j * mp.arg(h)) - 1) + 1
+        s = mp.mpf(emitter.g) ** 2 * abs(h) * fac / (4 * t1 * t2 * mp.sin(k))
+        half = mp.mpf(emitter.omega_rabi) / 2
+        larger = max((1j * s + sign * mp.sqrt(half**2 - s**2) for sign in (1, -1)), key=abs)
+        return s, (larger, -half**2 / larger)
+
+
+class TestTinyJ:
+    """Couplings and drives far above a tiny J: the strength of order
+    g^2/J is a normal double while (g/J)^2 is not."""
+
+    TINY = 1e-170
+
+    def test_poles_command_runs(self, capsys):
+        argv = ["poles", "--config", "A", "--J", "1e-170", "--omega-e", "1.5e-170",
+                "--omega-rabi", "2e-171"]
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pole_plus"][1] == pytest.approx(4.0567404227e168, rel=1e-10)
+        assert payload["regime"] == "lorentzian"
+
+    @pytest.mark.parametrize("config", [CouplingConfig(Variant.A), CouplingConfig(Variant.AB, 0.3)],
+                             ids=["A", "AB"])
+    @pytest.mark.parametrize("delta", [0.5, -0.5])
+    @pytest.mark.parametrize("g, drive", [
+        (0.2, lambda s: 2e-171),  # the smaller root, about 1e-342, underflows
+        (3e-16, lambda s: 1e130),  # (g/J)^2 = 9e308 overflows
+        (1e-100, lambda s: 0.3 * s),  # Omega ~ |s| keeps Omega/J a double
+        (1e-100, lambda s: 1.0 * s),
+        (1e-100, lambda s: 4.0 * s),
+    ], ids=["g0.2", "g3e-16", "eit", "edge", "ats"])
+    def test_poles_match_the_textbook(self, config, delta, g, drive):
+        params = WaveguideParams(delta=delta, J=self.TINY)
+        k = momentum_from_energy(1.5 * self.TINY, params)
+        emitter = EmitterParams(omega_e=1.5 * self.TINY, g=g, x1=5)
+        s = textbook_poles(config, params, emitter, k)[0]
+        omega_rabi = drive(float(abs(s)))
+        emitter = EmitterParams(omega_e=1.5 * self.TINY, omega_rabi=omega_rabi, g=g, x1=5)
+        roots = textbook_poles(config, params, emitter, k)[1]
+        pair = poles(config, params, emitter, k)
+        for pole in (pair.pole_plus, pair.pole_minus):
+            nearest = min(roots, key=lambda r: abs(complex(r) - pole))
+            assert abs(complex(nearest) - pole) <= 1e-13 * abs(complex(nearest))
+        ratio = classify_regime(config, params, emitter, k).ratio
+        assert ratio == pytest.approx(omega_rabi / 2.0 / float(abs(s)), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.3])
+    @pytest.mark.parametrize("g", [0.2, 3e-16, 1e-100])
+    def test_lamb_shift_matches_the_textbook(self, alpha, g):
+        mp = pytest.importorskip("mpmath")
+        params = WaveguideParams(delta=0.5, J=self.TINY)
+        with mp.workdps(50):
+            a = mp.mpf(alpha)
+            expected = mp.mpf(g) ** 2 * a * (1 - a) / (mp.mpf(self.TINY) * mp.mpf(1.5))
+        assert lamb_shift(g, alpha, params) == pytest.approx(float(expected), rel=1e-14)
+
+    def test_lamb_shift_overflow_is_inf(self):
+        assert lamb_shift(1e300, 0.5, WaveguideParams(delta=0.5)) == math.inf
+
+    def test_drive_far_below_j_without_coupling(self, trivial_chain, config_a, resonant_k):
+        # at g = 0 the poles are +-Omega/2 however small Omega is: (Omega/2)^2
+        # underflows below about 1e-154 J, so the discriminant forms at its scale
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=2e-170, g=0.0, x1=5)
+        pair = poles(config_a, trivial_chain, emitter, resonant_k)
+        assert {pair.pole_plus, pair.pole_minus} == {1e-170 + 0j, -1e-170 + 0j}
+
+
+class TestRegimeReference:
+    def test_labels_and_ratios_match_the_formula_as_first_written(self):
+        rng = np.random.default_rng(5)
+        labels = set()
+        for _ in range(3000):
+            delta = float(rng.uniform(-0.9, 0.9))
+            params = WaveguideParams(delta=delta, J=float(rng.choice([1.0, 0.7, 3.3, 2.0**-40])))
+            variant = Variant(rng.choice(["A", "B", "AB"]))
+            alpha = {Variant.A: 1.0, Variant.B: 0.0}.get(variant, float(rng.uniform(0.0, 1.0)))
+            config = CouplingConfig(variant, alpha)
+            k = float(rng.uniform(0.01, math.pi - 0.01))
+            emitter = EmitterParams(
+                omega_e=1.5 * params.J,
+                omega_rabi=float(10.0 ** rng.uniform(-4.0, 1.0)) * params.J,
+                g=float(10.0 ** rng.uniform(-3.0, 0.5)) * params.J,
+                x1=5,
+            )
+            out = classify_regime(config, params, emitter, k)
+            reference = ratio_reference(config, params, emitter, k)
+            assert out.ratio == pytest.approx(reference, rel=8 * 2.0**-52)
+            for bound in (0.25, 4.0):
+                # a label may only differ where rounding straddles a bound
+                if abs(reference - bound) > 8 * 2.0**-52 * bound:
+                    assert (out.ratio < bound) == (reference < bound)
+            labels.add(out.label)
+        assert labels == {"lorentzian", "eit", "ats"}
 
 
 class TestAtsDips:
