@@ -3,8 +3,11 @@
 Float output is fixed at 12 significant digits (scientific notation for
 CSV, rounded values for JSON) and files are written atomically, so two
 invocations with the same inputs produce byte-identical artifacts.  Each
-table handler returns a header and equal-length columns; CSV text is
-formatted and written a block of rows at a time.
+command handler returns one table: a header and equal-length columns, or,
+for a record (``winding``, ``poles``), one scalar per header entry.  A
+table is written as CSV rows, a block at a time, or as a JSON list of
+objects; a record as a one-row CSV or one JSON object.  A complex value
+is ``[re, im]`` in JSON and two columns ``name_re, name_im`` in CSV.
 
 Exit codes: 0 success, 1 validation-tolerance breach, 2 usage error.
 """
@@ -33,12 +36,6 @@ _FLOAT_FMT = "%.11e"
 _BLOCK_ROWS = 4096
 
 
-def _round12(value: float) -> float:
-    if value == 0.0 or not math.isfinite(value):
-        return value
-    return float(_FLOAT_FMT % value)
-
-
 def _jsonify(obj):
     if isinstance(obj, dict):
         return {key: _jsonify(val) for key, val in obj.items()}
@@ -46,15 +43,10 @@ def _jsonify(obj):
         return [_jsonify(val) for val in obj]
     if isinstance(obj, complex):
         return [_jsonify(obj.real), _jsonify(obj.imag)]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        # non-finite values (e.g. an unbounded regime ratio at g = 0) are
-        # emitted as strings to keep the output strict JSON
-        return _round12(value) if math.isfinite(value) else str(value)
+    if isinstance(obj, float):
+        # rounded to the 12 digits CSV prints; non-finite values (e.g. an
+        # unbounded regime ratio at g = 0) are strings, to keep strict JSON
+        return float(_FLOAT_FMT % obj) if math.isfinite(obj) else str(obj)
     return obj
 
 
@@ -83,25 +75,44 @@ def _csv_chunks(header, columns):
     """CSV text of a column table: the header line, then blocks of rows.
 
     ``columns`` are equal-length 1-d arrays (or sequences numpy turns into
-    one), each of a single type.  Float columns print as ``%.11e`` (the
-    same text as ``{:.11e}`` for every double); int, bool and str columns
-    print as ``str`` of the value.  Each block of ``_BLOCK_ROWS`` rows is
-    one ``%`` format of the row template repeated.
+    one), each of a single type, or scalars: a record is a one-row table.
+    A complex column ``name`` is split into ``name_re, name_im``.  Float
+    columns print as ``%.11e`` (the same text as ``{:.11e}`` for every
+    double); int, bool and str columns print as ``str`` of the value.  Each
+    block of ``_BLOCK_ROWS`` rows is one ``%`` format of the row template
+    repeated.
     """
-    columns = [np.asarray(col) for col in columns]
-    width = len(columns)
-    row = ",".join(_FLOAT_FMT if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
-    yield ",".join(header) + "\n"
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
+    names, parts = [], []
+    for name, col in zip(header, columns):
+        col = np.atleast_1d(col)
+        if col.dtype.kind == "c":
+            names += [f"{name}_re", f"{name}_im"]
+            parts += [col.real, col.imag]
+        else:
+            names.append(name)
+            parts.append(col)
+    width = len(parts)
+    row = ",".join(_FLOAT_FMT if col.dtype.kind == "f" else "%s" for col in parts) + "\n"
+    yield ",".join(names) + "\n"
+    for start in range(0, len(parts[0]), _BLOCK_ROWS):
+        block = [col[start:start + _BLOCK_ROWS].tolist() for col in parts]
         values = [None] * (width * len(block[0]))
         for j, col in enumerate(block):
             values[j::width] = col
         yield row * len(block[0]) % tuple(values)
 
 
-def _emit_json(payload, out_path) -> None:
-    _emit([json.dumps(_jsonify(payload), indent=2) + "\n"], out_path)
+def _json_text(obj) -> str:
+    return json.dumps(_jsonify(obj), indent=2) + "\n"
+
+
+def _json_chunks(header, columns):
+    """JSON text of a table: a list of one object per row, or, for a
+    record, one object."""
+    values = [np.asarray(col).tolist() for col in columns]
+    if np.ndim(columns[0]) == 0:
+        return [_json_text(dict(zip(header, values)))]
+    return [_json_text([dict(zip(header, row)) for row in zip(*values)])]
 
 
 def _add_param_flags(parser, with_coupling=True):
@@ -126,6 +137,7 @@ def _add_dk_flags(parser):
     parser.add_argument("--dk-min", type=float, default=-0.2)
     parser.add_argument("--dk-max", type=float, default=0.2)
     parser.add_argument("--dk-steps", type=int, default=401)
+    parser.add_argument("--band", choices=["upper", "lower"], default="upper")
 
 
 @functools.lru_cache(maxsize=None)
@@ -147,35 +159,38 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bands", help="dispersion and pseudospin components over k")
+    p.set_defaults(handler=_cmd_bands)
     _add_param_flags(p, with_coupling=False)
     p.add_argument("--k-steps", type=int, default=501)
 
     p = sub.add_parser("winding", help="winding number and geometric phase")
+    p.set_defaults(handler=_cmd_winding)
     _add_param_flags(p, with_coupling=False)
     p.add_argument("--n-samples", type=int, default=4096)
 
     p = sub.add_parser("spectrum", help="transmission spectrum over detuning")
+    p.set_defaults(handler=_cmd_spectrum)
     _add_param_flags(p)
     _add_dk_flags(p)
-    p.add_argument("--band", choices=["upper", "lower"], default="upper")
 
     p = sub.add_parser("contour", help="transmission over detuning and control field")
+    p.set_defaults(handler=_cmd_contour)
     _add_param_flags(p)
     _add_dk_flags(p)
     p.add_argument("--omega-rabi-min", type=float, default=0.0)
     p.add_argument("--omega-rabi-max", type=float, default=0.4)
     p.add_argument("--omega-rabi-steps", type=int, default=9)
-    p.add_argument("--band", choices=["upper", "lower"], default="upper")
 
     p = sub.add_parser("poles", help="transmission poles, regime, and level shift")
+    p.set_defaults(handler=_cmd_poles)
     _add_param_flags(p)
     p.add_argument("--omega", type=float, default=None,
                    help="probe energy for the pole analysis (default omega_e)")
 
     p = sub.add_parser("features", help="dips and peaks extracted from a spectrum")
+    p.set_defaults(handler=_cmd_features)
     _add_param_flags(p)
     _add_dk_flags(p)
-    p.add_argument("--band", choices=["upper", "lower"], default="upper")
 
     p = sub.add_parser("validate", help="run the closed-form/lattice agreement suite")
     p.add_argument("--draws", type=int, default=20)
@@ -217,18 +232,13 @@ def _cmd_bands(args):
     omega = band_ops.dispersion_grid(ks, wg)
     d = band_ops.d_vector(ks, wg)
     header = ["k", "omega_upper", "omega_lower", "dx", "dy"]
-    return header, [ks, omega, -omega, d.dx, d.dy], None, "csv"
+    return header, [ks, omega, -omega, d.dx, d.dy], "csv"
 
 
 def _cmd_winding(args):
     bundle = _merge_bundle(args)
     nu = band_ops.winding_number(bundle.waveguide, args.n_samples)
-    payload = {
-        "delta": bundle.waveguide.delta,
-        "nu": nu,
-        "zak_phase": nu * math.pi,
-    }
-    return list(payload), [[value] for value in payload.values()], payload, "json"
+    return ["delta", "nu", "zak_phase"], [bundle.waveguide.delta, nu, nu * math.pi], "json"
 
 
 def _spectrum_grid(args, bundle):
@@ -244,7 +254,7 @@ def _cmd_spectrum(args):
     header = ["delta_k", "T", "R", "re_t", "im_t"]
     columns = [grid.delta_k, grid.transmission, grid.reflection,
                grid.amplitude.real, grid.amplitude.imag]
-    return header, columns, None, "csv"
+    return header, columns, "csv"
 
 
 def _cmd_contour(args):
@@ -256,7 +266,7 @@ def _cmd_contour(args):
         bundle.coupling, bundle.waveguide, bundle.emitter, dk, om, Band(args.band)
     )
     header = ["delta_k", "omega_rabi", "T"]
-    return header, [grid.delta_k, grid.omega_rabi, grid.transmission], None, "csv"
+    return header, [grid.delta_k, grid.omega_rabi, grid.transmission], "csv"
 
 
 def _cmd_poles(args):
@@ -265,23 +275,9 @@ def _cmd_poles(args):
     k = band_ops.momentum_from_energy(omega, bundle.waveguide)
     pair = spectra.poles(bundle.coupling, bundle.waveguide, bundle.emitter, k)
     regime = spectra.classify_regime(bundle.coupling, bundle.waveguide, bundle.emitter, k)
-    payload = {
-        "pole_plus": pair.pole_plus,
-        "pole_minus": pair.pole_minus,
-        "regime": regime.label,
-        "ratio": regime.ratio,
-        "lamb_shift": spectra.lamb_shift(
-            bundle.emitter.g, bundle.coupling.alpha, bundle.waveguide
-        ),
-    }
-    header = ["pole_plus_re", "pole_plus_im", "pole_minus_re", "pole_minus_im",
-              "regime", "ratio", "lamb_shift"]
-    row = (
-        pair.pole_plus.real, pair.pole_plus.imag,
-        pair.pole_minus.real, pair.pole_minus.imag,
-        regime.label, regime.ratio, payload["lamb_shift"],
-    )
-    return header, [[value] for value in row], payload, "json"
+    shift = spectra.lamb_shift(bundle.emitter.g, bundle.coupling.alpha, bundle.waveguide)
+    header = ["pole_plus", "pole_minus", "regime", "ratio", "lamb_shift"]
+    return header, [pair.pole_plus, pair.pole_minus, regime.label, regime.ratio, shift], "json"
 
 
 def _cmd_features(args):
@@ -290,7 +286,7 @@ def _cmd_features(args):
     found = spectra.extract_features(grid)
     header = ["kind", "position", "depth", "fwhm", "asymmetry"]
     columns = [[getattr(f, name) for f in found] for name in header]
-    return header, columns, None, "json"
+    return header, columns, "json"
 
 
 def run(argv=None) -> int:
@@ -313,33 +309,14 @@ def run(argv=None) -> int:
                 wavepacket_cells=args.wavepacket_cells,
                 sigma_x=args.sigma_x,
             )
-            _emit_json(report, args.out)
+            _emit([_json_text(report)], args.out)
             return 0 if report["passed"] else 1
 
-        # a handler returns a column table (a header and equal-length
-        # columns); its payload of None means one JSON record per row
-        handler = {
-            "bands": _cmd_bands,
-            "winding": _cmd_winding,
-            "spectrum": _cmd_spectrum,
-            "contour": _cmd_contour,
-            "poles": _cmd_poles,
-            "features": _cmd_features,
-        }[args.command]
-        header, columns, payload, default_format = handler(args)
-        out_format = args.format or default_format
-        if out_format == "csv":
-            _emit(_csv_chunks(header, columns), args.out)
-        else:
-            if payload is None:
-                rows = zip(*(np.asarray(col).tolist() for col in columns))
-                payload = [dict(zip(header, row)) for row in rows]
-            _emit_json(payload, args.out)
+        header, columns, default_format = args.handler(args)
+        write = _csv_chunks if (args.format or default_format) == "csv" else _json_chunks
+        _emit(write(header, columns), args.out)
         return 0
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ModelError as exc:
+    except (OSError, json.JSONDecodeError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,11 +32,6 @@ from .params import Band, CouplingConfig, EmitterParams, WaveguideParams
 # which the potential denominator counts as a pole hit; see _potential_terms.
 _POLE_EPS = 1e-14
 
-# At a pole hit, couplings below this (in units of J) are solved at g = J
-# (see _cell_amplitudes): g^2 and the products built on it would underflow
-# there and lose their digits.
-_G_TINY = 1e-100
-
 
 @dataclass(frozen=True)
 class EffectivePotential:
@@ -269,12 +264,7 @@ def _cell_amplitudes(config, energy, h, phase, params, emitter):
     g, delta_c, omega_rabi = emitter.g / j, emitter.delta_c / j, emitter.omega_rabi / j
     num, den = _potential_terms((energy - emitter.omega_e) / j, delta_c, omega_rabi, g)
     energy = energy / j
-    g1, g2 = config.couplings(g)
-    if 0.0 < g < _G_TINY:
-        # t and r depend on g only through den / g^2, which is 0 at a pole
-        # hit whatever g is: solve those points at g = J
-        g1, g2 = config.couplings(np.where(den == 0.0, 1.0, g))
-    elif 1.0 < g < math.inf:
+    if 1.0 < g < math.inf:
         # t and r depend on g only through the ratio num g^2 : den.  Above
         # g = J that pair is scaled by the power of two that brings its
         # larger member to order 1 and solved at g = J, so that no g^2 times
@@ -285,7 +275,10 @@ def _cell_amplitudes(config, energy, h, phase, params, emitter):
         den_exp = np.frexp(den)[1]
         shift = np.maximum(np.where(num == 0.0, den_exp, np.frexp(num)[1] + 2 * g_exp), den_exp)
         num, den = np.ldexp(num, 2 * g_exp - shift), np.ldexp(den, -shift)
-        g1, g2 = config.couplings(1.0)
+        g = 1.0
+    # at a pole hit (den = 0) g^2 cancels from t and r, so those points are
+    # solved at g = J, where no g^2 underflows: g + (1 - g) is exactly 1
+    g1, g2 = config.couplings(g + (1.0 - g) * (den == 0.0))
     h_conj = h.conjugate()
     s = h - h_conj
     c = 4.0 * num

@@ -78,21 +78,41 @@ class LineshapeFeature:
     asymmetry: float
 
 
-def _unscale(x: float, n: int, params: WaveguideParams) -> float:
-    """x 2^n J: from units of J, at the scale 2^-n, back to absolute units
-    (exactly at J = 1); +-inf where that overflows."""
-    if not n:
-        return x * params.J
-    j_exp = math.frexp(params.J)[1] - 1  # J 2^-j_exp in [1, 2)
+def _ldexp(x: float, n: int) -> float:
+    """x 2^n, +-inf where that overflows."""
     try:
-        return math.ldexp(x * math.ldexp(params.J, -j_exp), n + j_exp)
+        return math.ldexp(x, n)
     except OverflowError:
         return math.copysign(math.inf, x)
 
 
-def _pole_strength(config, params, emitter, k):
-    """(s, n): the pole strength in units of J is s 2^n, formed with g/J
-    above order 1 at the power-of-two scale 2^-n/2, where its square fits."""
+def _unscale(x: float, n: int, params: WaveguideParams) -> float:
+    """x 2^n J: from units of J, at the scale 2^-n, back to absolute units.
+
+    Where x 2^n is a double it is rounded in units of J, then times J, so
+    at J = 2^m the answer is the J = 1 answer times J exactly, subnormals
+    too; where it is not, J's mantissa joins x first.  +-inf where the
+    answer overflows.
+    """
+    try:
+        return math.ldexp(x, n) * params.J
+    except OverflowError:
+        j_mant, j_exp = math.frexp(params.J)
+        return _ldexp(x * j_mant, n + j_exp)
+
+
+def _scaled(z: complex, n: int) -> complex:
+    """z 2^n, part by part (a complex times a float may flip a -0)."""
+    return complex(math.ldexp(z.real, n), math.ldexp(z.imag, n))
+
+
+def _pole_terms(config, params, emitter, k):
+    """(s, n, w, p): in units of J the pole strength is s 2^n and half the
+    drive, Omega/2J, is w 2^p, so that neither leaves the range of doubles.
+
+    s is formed with g/J above order 1 at the scale 2^-n/2, where its
+    square fits; w is carried at its own power of two.
+    """
     h = h_over_j(k, params)
     require_dispersive(params, k)
     fac = interference_factor(cmath.phase(h), config.alpha)
@@ -100,7 +120,10 @@ def _pole_strength(config, params, emitter, k):
     m = math.frexp(g)[1] if g >= 1.0 else 0
     g = math.ldexp(g, -m)
     a, b = 1.0 + params.delta, 1.0 - params.delta
-    return g * g * abs(h) * fac / (4.0 * a * b * math.sin(k)), 2 * m
+    drive, p = math.frexp(emitter.omega_rabi)
+    j_mant, j_exp = math.frexp(params.J)
+    return (g * g * abs(h) * fac / (4.0 * a * b * math.sin(k)), 2 * m,
+            drive / j_mant / 2.0, p - j_exp)
 
 
 def poles(
@@ -113,43 +136,46 @@ def poles(
 
     Valid only for ``delta_c = 0``, where the pole equation closes in
     radicals: ``dk = i s +/- sqrt(Omega^2/4 - s^2)`` with the complex
-    strength ``s = g^2 omega_k F / (4 t1 t2 sin k)``.  The larger root is
-    solved in units of J and scaled back once, the smaller is -(Omega/2)^2
-    over it; a pole beyond the range of doubles raises ValidationError.
+    strength ``s = g^2 omega_k F / (4 t1 t2 sin k)``.  Both roots are
+    solved in units of J, the smaller as -(Omega/2)^2 over the larger, and
+    each is scaled back once; a pole beyond the range of doubles raises
+    ValidationError naming g or omega_rabi, whichever term dominates it.
     """
     if emitter.delta_c != 0.0:
         raise UnsupportedFeatureError(
             "closed-form poles require delta_c = 0; sweep the spectrum instead"
         )
-    strength, exponent = _pole_strength(config, params, emitter, k)
-    half = emitter.omega_rabi / params.J / 2.0
-    # the discriminant at the power-of-two scale of the larger of Omega/2
-    # and |s| (at most 2^1023 up), exactly, where no square over- or underflows
-    top = math.frexp(half)[1]
-    if strength:
-        top = max(top, math.frexp(abs(strength))[1] + exponent)
-    if top < exponent - 1023:
-        top = exponent - 1023
-    scale = math.ldexp(1.0, exponent - top)
-    s_scaled = strength * scale
-    h_scaled = math.ldexp(half, -top)
+    strength, exponent, half, p = _pole_terms(config, params, emitter, k)
+    # the discriminant at the power-of-two scale 2^top of the larger of
+    # Omega/2J and |s| (a zero term takes the other's), where no square
+    # over- or underflows
+    s_top = math.frexp(abs(strength))[1] + exponent
+    h_top = math.frexp(half)[1] + p
+    top = max(s_top if strength else h_top, h_top if half else s_top)
+    s_scaled = _scaled(strength, exponent - top)
+    h_scaled = math.ldexp(half, p - top)
     r_scaled = cmath.sqrt(h_scaled * h_scaled - s_scaled * s_scaled)
-    root = r_scaled / scale
-    # the larger root first, free of cancellation, at the scale of s, then
-    # scaled back by parts: a complex times a float may flip a -0
     plus = (1j * s_scaled * r_scaled.conjugate()).real >= 0.0
-    larger = 1j * strength + root if plus else 1j * strength - root
-    larger = complex(
-        _unscale(larger.real, exponent, params), _unscale(larger.imag, exponent, params)
-    )
-    if not cmath.isfinite(larger):
+    # the larger root, free of cancellation, 2^1022 up from there, where
+    # its modulus lies in [2^1020, 2^1024) and i s keeps its digits beside
+    # an Omega/2 up to 2^2044 times larger
+    top -= 1022
+    larger = 1j * _scaled(strength, exponent - top)
+    root = r_scaled / 2.0**-1022
+    larger = larger + root if plus else larger - root
+    pole = complex(_unscale(larger.real, top, params), _unscale(larger.imag, top, params))
+    if not cmath.isfinite(pole):
+        field, order = ("g", "g^2/J") if abs(s_scaled) >= abs(h_scaled) else ("omega_rabi", "Omega")
         raise ValidationError(
-            f"g out of range: {emitter.g} (a pole, of order g^2/J, overflows)"
+            f"{field} out of range: {getattr(emitter, field)} (a pole, of order {order}, overflows)"
         )
-    # their product is -Omega^2/4
-    half = emitter.omega_rabi / 2.0
-    smaller = -half * (half / larger) if half else 0j
-    return PolePair(larger, smaller) if plus else PolePair(smaller, larger)
+    # their product is -(Omega/2)^2, formed with the larger brought to order 1
+    smaller = 0j
+    if half:
+        smaller = -half * (half / _scaled(larger, -1022))
+        n = 2 * p - top - 1022
+        smaller = complex(_unscale(smaller.real, n, params), _unscale(smaller.imag, n, params))
+    return PolePair(pole, smaller) if plus else PolePair(smaller, pole)
 
 
 def classify_regime(
@@ -164,13 +190,14 @@ def classify_regime(
     0.25 the response is a single Lorentzian dip, above 4 an Autler-Townes
     doublet, in between a transparency window.
     """
-    strength, exponent = _pole_strength(config, params, emitter, k)
-    if emitter.omega_rabi == 0.0:
+    strength, exponent, half, p = _pole_terms(config, params, emitter, k)
+    if half == 0.0:
         ratio = 0.0
     elif strength == 0.0:
         ratio = math.inf
     else:
-        ratio = math.ldexp(abs(emitter.omega_rabi) / params.J / 2.0 / abs(strength), -exponent)
+        mant, n = math.frexp(abs(strength))
+        ratio = _ldexp(abs(half) / mant, p - exponent - n)
     if ratio < RATIO_LORENTZIAN_MAX:
         label = "lorentzian"
     elif ratio <= RATIO_EIT_MAX:

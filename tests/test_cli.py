@@ -368,8 +368,20 @@ def _reference_value(value) -> str:
 
 
 def _reference_csv(header, columns) -> str:
-    rows = zip(*(np.asarray(col).tolist() for col in columns))
-    lines = [",".join(header)] + [",".join(_reference_value(v) for v in row) for row in rows]
+    """A record (a scalar per header entry) is one row; a complex column
+    ``name`` is the two columns ``name_re, name_im``."""
+    if np.ndim(columns[0]) == 0:
+        columns = [[value] for value in columns]
+    names, parts = [], []
+    for name, col in zip(header, columns):
+        col = np.asarray(col).tolist()
+        if any(isinstance(v, complex) for v in col):
+            names += [f"{name}_re", f"{name}_im"]
+            parts += [[v.real for v in col], [v.imag for v in col]]
+        else:
+            names.append(name)
+            parts.append(col)
+    lines = [",".join(names)] + [",".join(_reference_value(v) for v in row) for row in zip(*parts)]
     return "\n".join(lines) + "\n"
 
 
@@ -414,9 +426,7 @@ class TestCsvBlocks:
     ])
     def test_mixed_tables_match_the_reference(self, argv):
         args = cli._build_parser().parse_args(["--format", "csv"] + argv)
-        handler = {"winding": cli._cmd_winding, "poles": cli._cmd_poles,
-                   "features": cli._cmd_features}[args.command]
-        header, columns, _, _ = handler(args)
+        header, columns, _ = args.handler(args)
         self._check(header, columns)
 
 
@@ -472,6 +482,29 @@ class TestStdoutMatchesFile:
         streamed = capsys.readouterr().out.encode("utf-8")
         assert run(["--out", str(out), "--format", fmt] + argv) == 0
         assert out.read_bytes() == streamed
+        # the other format writes the same table: a record is one JSON object
+        # or a one-row CSV, and a complex value [re, im] is two CSV columns
+        other = "json" if fmt == "csv" else "csv"
+        assert run(["--format", other] + argv) == 0
+        texts = {fmt: streamed.decode("utf-8"), other: capsys.readouterr().out}
+        header, *rows = [line.split(",") for line in texts["csv"].splitlines()]
+        records = json.loads(texts["json"])
+        records = records if isinstance(records, list) else [records]
+        assert len(records) == len(rows)
+        for record, row in zip(records, rows):
+            flat = {}
+            for key, value in record.items():
+                if isinstance(value, list):
+                    flat[f"{key}_re"], flat[f"{key}_im"] = value
+                else:
+                    flat[key] = value
+            assert list(flat) == header
+            for value, text in zip(flat.values(), row):
+                if isinstance(value, str) and value not in ("inf", "-inf", "nan"):
+                    assert text == value
+                else:
+                    assert float(text) == pytest.approx(float(value), rel=1e-12, abs=0.0,
+                                                         nan_ok=True)
 
     def test_validate_round_trip(self, tmp_path, capsys):
         out = tmp_path / "report.json"

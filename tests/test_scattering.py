@@ -614,6 +614,27 @@ class TestSubnormalCoupling:
         # off the pole the potential is below 1e-300
         assert abs(transmittance(config, 1.6, trivial_chain, tiny) - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("config", [CouplingConfig(Variant.A), CouplingConfig(Variant.B),
+                                        CouplingConfig(Variant.AB, 0.3)], ids=["A", "B", "AB"])
+    def test_pole_hit_is_the_g_equal_j_answer_for_every_g(self, trivial_chain, config):
+        # 4 dk (dk + dc) = Omega^2 exactly at dk = Omega/2 = 0.125: g^2 cancels
+        # from t and r, so a pole hit is solved at g = J.  Above J the pair
+        # num g^2 : den is rescaled by the square of g's mantissa first, which
+        # may move the last bit.
+        def amplitudes(g):
+            emitter = EmitterParams(omega_e=1.5, omega_rabi=0.25, g=g, x1=5)
+            _, t_grid, r_grid = amplitude_grid(config, [1.625], trivial_chain, emitter)
+            return (transmittance(config, 1.625, trivial_chain, emitter),
+                    reflectance(config, 1.625, trivial_chain, emitter), t_grid[0], r_grid[0])
+
+        at_j = amplitudes(1.0)
+        for g in [5e-324, 1e-300, 1e-200, 1e-100, 1e-20, 0.2, 0.99, 3.0, 1e3, 1e10]:
+            got = amplitudes(g)
+            if g <= 1.0:
+                assert got == at_j
+            else:
+                assert got == pytest.approx(at_j, rel=4 * 2.0**-52, abs=4 * 2.0**-52)
+
 
 class TestStrongCouplingAndDrive:
     """A coupling or drive above J, up to where its square overflows.

@@ -90,6 +90,22 @@ class TestPoles:
         assert abs(pair.pole_plus * pair.pole_minus + quarter) <= 1e-12 * quarter
         assert abs(pair.pole_plus) > abs(pair.pole_minus)
 
+    @pytest.mark.parametrize("config", [CouplingConfig(Variant.A), CouplingConfig(Variant.AB, 0.3)],
+                             ids=["A", "AB"])
+    @pytest.mark.parametrize("g", [1e-78, 1e-100, 1e-150])
+    def test_control_off_pole_is_twice_the_strength_for_any_coupling(
+        self, trivial_chain, config, resonant_k, g
+    ):
+        # Omega = 0: the poles are 2 i s and 0, however small s ~ g^2 is
+        # (s^2 underflows here; it must not be formed at the scale of J)
+        def pair(coupling):
+            emitter = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=coupling, x1=5)
+            return poles(config, trivial_chain, emitter, resonant_k)
+
+        reference = pair(0.2).pole_plus * (g / 0.2) ** 2
+        assert pair(g).pole_plus == pytest.approx(reference, rel=1e-14, abs=0.0)
+        assert pair(g).pole_minus == 0.0
+
     def test_detuned_control_unsupported(self, trivial_chain, config_a, resonant_k):
         emitter = EmitterParams(omega_e=1.5, delta_c=0.1, g=0.2, x1=5)
         with pytest.raises(UnsupportedFeatureError):
@@ -235,6 +251,72 @@ class TestTinyJ:
         emitter = EmitterParams(omega_e=1.5, omega_rabi=2e-170, g=0.0, x1=5)
         pair = poles(config_a, trivial_chain, emitter, resonant_k)
         assert {pair.pole_plus, pair.pole_minus} == {1e-170 + 0j, -1e-170 + 0j}
+
+
+class TestDriveBeyondDoubles:
+    """Omega/J beyond the range of doubles, carried at its own power of two."""
+
+    ARGV = ["--format", "csv", "poles", "--config", "A", "--J", "1e-170",
+            "--omega-e", "1.5e-170", "--g", "1e-100", "--omega-rabi", "1e139"]
+
+    def _reference(self):
+        mp = pytest.importorskip("mpmath")
+        params = WaveguideParams(delta=0.5, J=1e-170)
+        k = momentum_from_energy(1.5e-170, params)
+        emitter = EmitterParams(omega_e=1.5e-170, omega_rabi=1e139, g=1e-100, x1=5)
+        s, roots = textbook_poles(CouplingConfig(Variant.A), params, emitter, k)
+        with mp.workdps(50):
+            ratio = mp.mpf(emitter.omega_rabi) / 2 / abs(s)
+        return params, k, emitter, roots, ratio
+
+    def test_command_matches_the_textbook(self, capsys):
+        _, _, _, roots, ratio = self._reference()
+        assert run(self.ARGV) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header, row = captured.out.splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        assert record["regime"] == "ats"
+        # each printed value is the 50-digit one to its 12 printed digits
+        plus = max(roots, key=lambda r: float(r.real))
+        minus = min(roots, key=lambda r: float(r.real))
+        expected = {"pole_plus_re": plus.real, "pole_plus_im": plus.imag,
+                    "pole_minus_re": minus.real, "pole_minus_im": minus.imag, "ratio": ratio}
+        for name, value in expected.items():
+            assert record[name] == "%.11e" % float(value), name
+
+    def test_library_values_match_the_textbook(self):
+        params, k, emitter, roots, ratio = self._reference()
+        config = CouplingConfig(Variant.A)
+        pair = poles(config, params, emitter, k)
+        for pole in (pair.pole_plus, pair.pole_minus):
+            nearest = min(roots, key=lambda r: abs(complex(r) - pole))
+            assert abs(complex(nearest.real) - pole.real) <= 1e-13 * abs(float(nearest.real))
+            assert abs(complex(nearest.imag) - pole.imag) <= 1e-13 * abs(float(nearest.imag))
+        regime = classify_regime(config, params, emitter, k)
+        assert regime.label == "ats"
+        assert regime.ratio == pytest.approx(float(ratio), rel=1e-13)
+
+    # AB at a phase where i s points along -Re: with |s| just below Omega/2
+    # the larger pole, |s| + sqrt(Omega^2/4 - s^2) of order Omega, overflows
+    CASE = dict(delta=0.45065641073409457, alpha=0.36824525479162395, k=1.5245685813738654,
+                omega_rabi=1.7816475482415873e+308, g=3.05126856237099e+154)
+
+    @pytest.mark.parametrize("scale, field", [(1.0, "omega_rabi"), (2.0, "g")])
+    def test_refusal_names_the_larger_term(self, scale, field):
+        case = self.CASE
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=case["omega_rabi"],
+                                g=case["g"] * scale, x1=5)
+        with pytest.raises(ValidationError, match=rf"^{field} out of range"):
+            poles(CouplingConfig(Variant.AB, case["alpha"]), WaveguideParams(case["delta"]),
+                  emitter, case["k"])
+
+    def test_ratio_where_the_strength_is_subnormal(self, trivial_chain, config_a, resonant_k):
+        # s ~ g^2 is subnormal while Omega/2 over it is a normal double
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=6.5e-142, g=6.8e-157, x1=5)
+        ratio = classify_regime(config_a, trivial_chain, emitter, resonant_k).ratio
+        assert ratio == pytest.approx(
+            ratio_reference(config_a, trivial_chain, emitter, resonant_k), rel=1e-9)
 
 
 class TestRegimeReference:
