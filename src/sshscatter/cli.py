@@ -9,6 +9,17 @@ table is written as CSV rows, a block at a time, or as a JSON list of
 objects; a record as a one-row CSV or one JSON object.  A complex value
 is ``[re, im]`` in JSON and two columns ``name_re, name_im`` in CSV.
 
+A CSV float is the text ``"%.11e" % value`` gives, which is correctly
+rounded; it is computed a column block at a time.  For zero and every
+|x| in [1e-11, 1e34), E = floor(log10 |x|) sets k = 11 - E with |k| <= 22,
+so the 12-digit mantissa y = |x| * 10**k is one product or quotient by
+the exact double 5**|k| and an exact scaling by 2**k.  That is one
+rounding: y < 2**40 is within 2**-13 of its true value, and ``rint(y)``
+is the correctly rounded mantissa unless frac(y) is within 2**-10 of 1/2.
+Those near-ties, nan, +-inf and |x| outside the range (about 0.2% of the
+values of a real table) are formatted one at a time with ``%``.  Int, bool
+and str cells are ``str`` of the value.
+
 Exit codes: 0 success, 1 validation-tolerance breach, 2 usage error.
 """
 
@@ -32,8 +43,9 @@ from .validation import agreement_report
 
 _FLOAT_FMT = "%.11e"
 
-#: rows per block of CSV text; each block is formatted in one call
-_BLOCK_ROWS = 4096
+#: rows per block of CSV text; a block's arrays stay small enough to be
+#: reused from the heap rather than mapped afresh
+_BLOCK_ROWS = 1024
 
 
 def _jsonify(obj):
@@ -71,35 +83,158 @@ def _emit(chunks, out_path) -> None:
         raise
 
 
+def _slots(texts, width=None):
+    """``texts`` as the rows of a uint8 array: a NUL in the separator's
+    place, then the UTF-8 text, NUL-padded to ``width`` bytes (default: the
+    longest)."""
+    data = [text.encode() for text in texts]
+    if width is None:
+        width = max(map(len, data), default=0)
+    packed = b"".join(b"\0" + item.ljust(width, b"\0") for item in data)
+    return np.frombuffer(packed, np.uint8).reshape(len(data), 1 + width)
+
+
+def _words(*byte_columns):
+    """Native uint32 words whose four bytes, in memory order, are the
+    entries of four byte columns (arrays of one length, or scalars)."""
+    columns = np.broadcast_arrays(*byte_columns)
+    return np.stack(columns, axis=1).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _ascii(n, places):
+    """The ASCII digit columns of the integers ``n``, ``places`` digits wide."""
+    return [ord("0") + n // 10 ** p % 10 for p in range(places - 1, -1, -1)]
+
+
+_LEADS = np.arange(20)
+_EXPONENTS = np.arange(-11, 35)
+#: four digits of 0 .. 9999
+_DIGITS4 = _words(*_ascii(np.arange(10000), 4))
+#: three digits of 0 .. 999, then 'e'
+_DIGITS3_E = _words(*_ascii(np.arange(1000), 3), ord("e"))
+#: at 10 * sign + d: the separator's place, '-' or NUL, the digit d, '.'
+_LEAD = _words(0, ord("-") * (_LEADS >= 10), *_ascii(_LEADS % 10, 1), ord("."))
+#: at E + 11, for E in [-11, 34]: the exponent's sign and two digits, NUL
+_EXPONENT = _words(np.where(_EXPONENTS < 0, ord("-"), ord("+")),
+                   *_ascii(np.abs(_EXPONENTS), 2), 0)
+#: 5**k, exact in a double for k <= 22
+_POW5 = np.array([5 ** k for k in range(23)], dtype=np.float64)
+
+#: bytes per float cell: the separator, then at most 19 bytes of text
+#: ('-1.00000000000e-308' is the widest)
+_FLOAT_SLOT = 20
+
+
+def _mantissa(ax, exp):
+    """``ax * 10**k``, k = 11 - exp, with one rounding for ``|k| <= 22``: a
+    product or quotient by the exact 5**|k|, then exact scaling by 2**k."""
+    k = (11.0 - exp).astype(np.int32)
+    p = _POW5.take(np.abs(k).astype(np.intp))
+    y = ax * p
+    np.divide(ax, p, out=y, where=k < 0)
+    return np.ldexp(y, k)
+
+
+def _split(m, unit):
+    """Quotient and remainder of the integral doubles ``m`` < 2**41 by
+    ``unit``, exactly: the rounded quotient never reaches the next
+    integer."""
+    q = np.floor(m / unit)
+    return q, m - q * unit
+
+
+def _float_text(x):
+    """The ``%.11e`` text of each value of the float64 array ``x``, as a
+    ``_FLOAT_SLOT``-byte slot: a NUL in the separator's place, then the
+    text, NUL-padded.
+
+    The digits are exact for the reason ``_csv_chunks`` gives.  Where log10
+    is one off, next to a power of ten, y leaves [1e11, 1e12) and E is
+    corrected once; a mantissa that rounds up to 10**12 is 10**11 with E
+    bumped.  The digits then come from word tables.
+    """
+    ax = np.abs(x)
+    nonzero = ax != 0.0
+    fast = (ax >= 1e-11) & (ax < 1e34)
+    ax = np.where(fast, ax, 1.0)
+    exp = np.minimum(np.maximum(np.floor(np.log10(ax)), -11.0), 33.0)
+    y = _mantissa(ax, exp)
+    high, low = y >= 1e12, y < 1e11
+    if (high | low).any():
+        # log10 is one off next to a power of ten
+        exp = np.minimum(np.maximum(exp + high - low, -11.0), 33.0)
+        y = _mantissa(ax, exp)
+        high, low = y >= 1e12, y < 1e11
+    mant = np.rint(y)
+    fast &= ~(high | low) & (np.abs(mant - y) < 0.5 - 2.0 ** -10)
+    mant *= nonzero
+    carry = mant == 1e12
+    mant[carry] = 1e11
+    # the sign rides above the mantissa: the leading quotient is 10 * sign + d
+    rest, last3 = _split(mant + 1e12 * np.signbit(x), 1e3)
+    rest, mid4 = _split(rest, 1e4)
+    lead, high4 = _split(rest, 1e4)
+    words = np.stack([
+        table.take(index.astype(np.intp)) for table, index in (
+            (_LEAD, lead), (_DIGITS4, high4), (_DIGITS4, mid4), (_DIGITS3_E, last3),
+            (_EXPONENT, (exp + carry) * nonzero + 11.0),
+        )
+    ], axis=-1)
+    text = words.view(np.uint8)
+    slow = ~fast & nonzero
+    if slow.any():
+        text[slow] = _slots([_FLOAT_FMT % value for value in x[slow].tolist()],
+                            _FLOAT_SLOT - 1)
+    return text
+
+
 def _csv_chunks(header, columns):
     """CSV text of a column table: the header line, then blocks of rows.
 
     ``columns`` are equal-length 1-d arrays (or sequences numpy turns into
     one), each of a single type, or scalars: a record is a one-row table.
-    A complex column ``name`` is split into ``name_re, name_im``.  Float
-    columns print as ``%.11e`` (the same text as ``{:.11e}`` for every
-    double); int, bool and str columns print as ``str`` of the value.  Each
-    block of ``_BLOCK_ROWS`` rows is one ``%`` format of the row template
-    repeated.
+    A complex column ``name`` is split into ``name_re, name_im``.
+
+    A float prints as exactly ``"%.11e" % value`` (the same text as
+    ``{:.11e}``), which is correctly rounded; the text is computed for a
+    block's float columns at once by ``_float_text``.  For zero and every |x| in [1e-11, 1e34), E =
+    floor(log10 |x|) sets k = 11 - E with |k| <= 22, so the 12-digit
+    mantissa y = |x| * 10**k is one product or quotient by 5**|k|, which is
+    an exact double, and an exact scaling by 2**k.  That is one rounding,
+    so y < 2**40 is within 2**-13 of its true value, and ``rint(y)`` is the
+    correctly rounded mantissa unless frac(y) is within 2**-10 of 1/2.
+    Only those near-ties, nan, +-inf and |x| outside [1e-11, 1e34) take the
+    per-value fallback ``"%.11e" % value``.  An int, bool or str cell is
+    ``str`` of its value (which holds no NUL), packed once per table.
+
+    A block of ``_BLOCK_ROWS`` rows is one uint8 array with a fixed-width
+    slot per cell: the separator's place, then the text, NUL-padded.  The
+    NULs are deleted from its bytes in one pass.
     """
-    names, parts = [], []
+    names, cells = [], []
     for name, col in zip(header, columns):
         col = np.atleast_1d(col)
         if col.dtype.kind == "c":
             names += [f"{name}_re", f"{name}_im"]
-            parts += [col.real, col.imag]
+            cells += [col.real, col.imag]
+        elif col.dtype.kind == "f":
+            names.append(name)
+            cells.append(col)
         else:
             names.append(name)
-            parts.append(col)
-    width = len(parts)
-    row = ",".join(_FLOAT_FMT if col.dtype.kind == "f" else "%s" for col in parts) + "\n"
+            cells.append(_slots([str(value) for value in col.tolist()]))
     yield ",".join(names) + "\n"
-    for start in range(0, len(parts[0]), _BLOCK_ROWS):
-        block = [col[start:start + _BLOCK_ROWS].tolist() for col in parts]
-        values = [None] * (width * len(block[0]))
-        for j, col in enumerate(block):
-            values[j::width] = col
-        yield row * len(block[0]) % tuple(values)
+    widths = [_FLOAT_SLOT if cell.ndim == 1 else cell.shape[1] for cell in cells]
+    separators = np.cumsum(widths)[:-1]
+    for start in range(0, len(cells[0]), _BLOCK_ROWS):
+        block = [cell[start:start + _BLOCK_ROWS] for cell in cells]
+        rows = len(block[0])
+        floats = np.array([part for part in block if part.ndim == 1], np.float64)
+        text = iter(_float_text(floats.reshape(-1, rows)))
+        pieces = [next(text) if part.ndim == 1 else part for part in block]
+        buf = np.concatenate(pieces + [np.full((rows, 1), ord("\n"), np.uint8)], axis=1)
+        buf[:, separators] = ord(",")
+        yield buf.tobytes().translate(None, b"\0").decode()
 
 
 def _json_text(obj) -> str:
@@ -228,7 +363,7 @@ def _grid(lo, hi, steps, what):
 def _cmd_bands(args):
     bundle = _merge_bundle(args)
     wg = bundle.waveguide
-    ks = np.linspace(-math.pi, math.pi, args.k_steps)
+    ks = _grid(-math.pi, math.pi, args.k_steps, "k grid")
     omega = band_ops.dispersion_grid(ks, wg)
     d = band_ops.d_vector(ks, wg)
     header = ["k", "omega_upper", "omega_lower", "dx", "dy"]

@@ -419,6 +419,11 @@ def evolve(state: np.ndarray, ham: LatticeHamiltonian, t: float) -> np.ndarray:
     return out
 
 
+def _check_packet_width(sigma_x: float) -> None:
+    if not (math.isfinite(sigma_x) and sigma_x > 0.0):
+        raise ValidationError(f"sigma_x must be finite and positive, got {sigma_x}")
+
+
 def packet_momentum_weights(
     k0: float, sigma_x: float, n_cells: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -430,6 +435,7 @@ def packet_momentum_weights(
     transmission magnitude is direction-independent, so results are quoted
     against |k0|.
     """
+    _check_packet_width(sigma_x)
     m = np.arange(n_cells)
     k = 2.0 * math.pi * m / n_cells
     k = np.where(k > math.pi, k - 2.0 * math.pi, k)
@@ -487,6 +493,7 @@ def wavepacket_transport(
     below 1e-6; transmitted probability is everything strictly right of the
     coupling cell, with the coupling cell and emitter reported as residual.
     """
+    _check_packet_width(sigma_x)
     if not 0.2 < k0 < math.pi - 0.2:
         raise ValidationError(f"k0 = {k0} outside the supported carrier window (0.2, pi-0.2)")
     if n_cells < 10 * sigma_x:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bands import band_edges, dispersion_grid, momentum_from_energy
+from .errors import ValidationError
 from .lattice import (
     boundary_matched_solve,
     packet_momentum_weights,
@@ -116,6 +117,10 @@ def agreement_report(
     pipeline and against the boundary-matched lattice solve; the transport
     oracle then checks each variant at three carrier settings.
     """
+    if draws_per_config < 0:
+        raise ValidationError(f"draws_per_config must not be negative, got {draws_per_config}")
+    if draws_per_config == 0 and not include_wavepacket:
+        raise ValidationError("nothing to check: draws_per_config = 0 and no wavepackets")
     rng = np.random.default_rng(seed)
     max_cm = 0.0
     max_cl = 0.0

@@ -99,6 +99,14 @@ class TestBandsCommand:
             assert math.hypot(float(row[3]), float(row[4])) == pytest.approx(w_up, abs=1e-10)
 
 
+    @pytest.mark.parametrize("steps", ["1", "0", "-1"])
+    def test_short_k_grid_is_usage_error(self, capsys, steps):
+        # 0 printed only the header and -1 ended in numpy's ValueError
+        assert run(["bands", "--k-steps", steps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k grid" in captured.err
+
     @pytest.mark.parametrize("J", ["1e300", "1e-170"])
     def test_extreme_scale_energies(self, capsys, J):
         # t1^2 overflows at J = 1e300 and underflows at J = 1e-170
@@ -175,6 +183,19 @@ class TestValidateCommand:
 
     def test_csv_format_rejected(self):
         assert run(["--format", "csv", "validate", "--skip-wavepacket"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_packet_width_is_usage_error(self, capsys, value):
+        assert run(["validate", "--draws", "0", f"--sigma-x={value}"]) == 2
+        assert re.search(r"\bsigma_x\b", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("draws", ["-3", "0"])
+    def test_draw_count_that_checks_nothing_is_usage_error(self, capsys, draws):
+        # both used to report "passed": true after checking nothing
+        assert run(["validate", "--draws", draws, "--skip-wavepacket"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "draws" in captured.err
 
     def test_full_suite_with_wavepackets(self, tmp_path):
         # default chain sizes: the two-site resonant case needs the full
@@ -388,14 +409,83 @@ def _reference_csv(header, columns) -> str:
 class TestCsvBlocks:
     SPECIAL = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300,
                1.0, -2.5e-17, 0.1, 123456.789012345]
+    # 12 and 13 significant digits at a rounding tie of the 12 printed;
+    # 9.9999999999995 carries into the next exponent
+    NEAR_TIES = [1.000000000005, 123456789012.5, 9.9999999999995, 1.0000000000015,
+                 2.5000000000005e-11, 9.9999999999995e33, 5.55555555555549e20]
+    # the array path covers zero and [1e-11, 1e34)
+    BOUNDARIES = [9.99999999999e-12, 1e-11, 9.9999999999995e33, 1e34]
 
     def _check(self, header, columns):
         text = "".join(cli._csv_chunks(header, columns))
         assert text == _reference_csv(header, columns)
 
+    def _check_column(self, values):
+        """``values``, their neighbours on both sides and their negatives."""
+        col = np.asarray(values, dtype=np.float64)
+        col = np.concatenate([col, np.nextafter(col, 0.0), np.nextafter(col, np.inf)])
+        col = np.concatenate([col, -col])
+        self._check(["x", "y"], [col, col[::-1].copy()])
+
     def test_special_floats(self):
         col = np.array(self.SPECIAL)
         self._check(["a", "b"], [col, col[::-1].copy()])
+
+    def test_near_ties(self):
+        self._check_column(self.NEAR_TIES)
+
+    def test_both_sides_of_the_range_boundaries(self):
+        self._check_column(self.BOUNDARIES)
+
+    def test_zeros_subnormals_and_powers_of_ten(self):
+        tiny = [5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308]
+        self._check_column([0.0] + tiny + [float(f"1e{e}") for e in range(-11, 34)])
+
+    def test_fallback_runs_only_where_documented(self, monkeypatch):
+        # the per-value % formats nan, +-inf, |x| outside [1e-11, 1e34) and
+        # near-ties; powers of ten, where log10 may be one off, do not need it
+        seen = []
+
+        class Spy(str):
+            def __mod__(self, value):
+                seen.append(value)
+                return str.__mod__(self, value)
+
+        monkeypatch.setattr(cli, "_FLOAT_FMT", Spy(cli._FLOAT_FMT))
+        powers = np.array([float(f"1e{e}") for e in range(-10, 34)])
+        array_path = np.concatenate([[0.0, 1.5e-11, 9.75e33], powers,
+                                     np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        fallback = [math.nan, math.inf, -math.inf, 5e-324, 9e-12, 1e34, -1e300,
+                    1.000000000005, -123456789012.5]
+        self._check(["x"], [np.concatenate([array_path, -array_path, fallback])])
+        assert sorted(map(repr, seen)) == sorted(map(repr, fallback))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(11)
+        col = rng.integers(-2 ** 63, 2 ** 63, 20000, dtype=np.int64).view(np.float64)
+        self._check(["x", "y"], [col, col[::-1].copy()])
+
+    def test_decimals_at_every_exponent_of_the_array_path(self):
+        rng = np.random.default_rng(12)
+        digits = rng.integers(10 ** 12, 10 ** 13, 3000)
+        exps = rng.integers(-24, 22, 3000)
+        self._check_column([float(f"{d - d % 10 + 5}e{e}") for d, e in zip(digits, exps)]
+                           + [float(f"{d}e{e}") for d, e in zip(digits, exps)])
+
+    def test_any_floats_across_a_block_boundary(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.lists(st.floats(), min_size=1, max_size=40))
+        def check(values):
+            col = np.resize(np.array(values), cli._BLOCK_ROWS + len(values))
+            self._check(["x", "y", "i"], [col, col[::-1].copy(), np.arange(len(col))])
+
+        check()
+
+    def test_table_without_a_float_column(self):
+        self._check(["kind", "n"], [["dip", "peak", "dip"], [1, -2, 3]])
 
     def test_int_bool_and_str_columns(self):
         n = len(self.SPECIAL)
@@ -428,6 +518,46 @@ class TestCsvBlocks:
         args = cli._build_parser().parse_args(["--format", "csv"] + argv)
         header, columns, _ = args.handler(args)
         self._check(header, columns)
+
+
+README_RECIPES = [
+    "spectrum --config A --g 0.2 --omega-rabi 0 --delta 0.5 --omega-e 1.5 "
+    "--dk-min -0.2 --dk-max 0.2 --dk-steps 401",
+    "winding --delta -0.5",
+    "contour --config AB --alpha 0.5 --delta -0.5 --omega-rabi-max 0.1",
+    "poles --config AB --alpha 0.5 --omega-rabi 0.0045",
+    "spectrum --config A --omega-rabi 0 --dk-steps 401",
+    "spectrum --config A --omega-rabi 0.2 --dk-steps 401",
+    "features --config A --omega-rabi 0.4 --dk-min -0.35 --dk-max 0.35 --dk-steps 10001",
+    "spectrum --config AB --alpha 0.5 --omega-rabi 0.0045 --delta 0.5 "
+    "--dk-min -0.03 --dk-max 0.05 --dk-steps 8001",
+    "spectrum --config AB --alpha 0.5 --omega-rabi 0.0045 --delta -0.5 "
+    "--dk-min -0.03 --dk-max 0.05 --dk-steps 8001",
+]
+
+
+class TestCsvMatchesReference:
+    """Each command's table, written by the block writer, is the per-value
+    reference text, on stdout and through --out alike."""
+
+    @pytest.mark.parametrize("command", README_RECIPES + [
+        # every R and im_t is exactly zero
+        "spectrum --config A --g 0 --dk-steps 11",
+        # many blocks, and a band edge inside the grid
+        "spectrum --config B --omega-e -1.5 --band lower --omega-rabi 0.1 "
+        "--dk-min -1 --dk-max 1 --dk-steps 64001",
+    ])
+    def test_command_table(self, tmp_path, capsys, command):
+        argv = ["--format", "csv"] + command.split()
+        args = cli._build_parser().parse_args(argv)
+        header, columns, _ = args.handler(args)
+        expected = _reference_csv(header, columns)
+        assert "".join(cli._csv_chunks(header, columns)) == expected
+        assert run(argv) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "table.csv"
+        assert run(["--out", str(out)] + argv) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
 
 
 class TestParserReuse:

@@ -496,6 +496,15 @@ class TestWavepacket:
         with pytest.raises(ChainTooShortError):
             wavepacket_transport(1.5, 20.0, 400, trivial_chain, emitter, config_a)
 
+    @pytest.mark.parametrize("sigma_x", [math.nan, math.inf, 0.0, -1.0, -math.inf])
+    def test_bad_packet_width_is_named(self, trivial_chain, config_a, sigma_x):
+        # nan used to fail in int(round(...)); 0 and -1 ran to the step budget
+        emitter = EmitterParams(omega_e=1.5, g=0.2, x1=200)
+        with pytest.raises(ValidationError, match=r"\bsigma_x\b"):
+            wavepacket_transport(1.5, sigma_x, 400, trivial_chain, emitter, config_a)
+        with pytest.raises(ValidationError, match=r"\bsigma_x\b"):
+            bandwidth_averaged_transmission(config_a, trivial_chain, emitter, 1.5, sigma_x, 400)
+
 
 def test_oracle_does_not_import_scattering_code():
     # the lattice oracle must stay an independent route: no imports from the
