@@ -10,15 +10,8 @@ objects; a record as a one-row CSV or one JSON object.  A complex value
 is ``[re, im]`` in JSON and two columns ``name_re, name_im`` in CSV.
 
 A CSV float is the text ``"%.11e" % value`` gives, which is correctly
-rounded; it is computed a column block at a time.  For zero and every
-|x| in [1e-11, 1e34), E = floor(log10 |x|) sets k = 11 - E with |k| <= 22,
-so the 12-digit mantissa y = |x| * 10**k is one product or quotient by
-the exact double 5**|k| and an exact scaling by 2**k.  That is one
-rounding: y < 2**40 is within 2**-13 of its true value, and ``rint(y)``
-is the correctly rounded mantissa unless frac(y) is within 2**-10 of 1/2.
-Those near-ties, nan, +-inf and |x| outside the range (about 0.2% of the
-values of a real table) are formatted one at a time with ``%``.  Int, bool
-and str cells are ``str`` of the value.
+rounded; it is computed a column block at a time (``_float_text`` says why
+the digits are exact).  Int, bool and str cells are ``str`` of the value.
 
 Exit codes: 0 success, 1 validation-tolerance breach, 2 usage error.
 """
@@ -148,8 +141,15 @@ def _float_text(x):
     ``_FLOAT_SLOT``-byte slot: a NUL in the separator's place, then the
     text, NUL-padded.
 
-    The digits are exact for the reason ``_csv_chunks`` gives.  Where log10
-    is one off, next to a power of ten, y leaves [1e11, 1e12) and E is
+    The text is correctly rounded.  For zero and every |x| in [1e-11, 1e34),
+    E = floor(log10 |x|) sets k = 11 - E with |k| <= 22, so the 12-digit
+    mantissa y = |x| * 10**k is one product or quotient by the exact double
+    5**|k| and an exact scaling by 2**k.  That is one rounding: y < 2**40 is
+    within 2**-13 of its true value, and ``rint(y)`` is the correctly
+    rounded mantissa unless frac(y) is within 2**-10 of 1/2.  Those
+    near-ties, nan, +-inf and |x| outside the range (about 0.2% of the
+    values of a real table) are formatted one at a time with ``%``.  Where
+    log10 is one off, next to a power of ten, y leaves [1e11, 1e12) and E is
     corrected once; a mantissa that rounds up to 10**12 is 10**11 with E
     bumped.  The digits then come from word tables.
     """
@@ -197,15 +197,9 @@ def _csv_chunks(header, columns):
 
     A float prints as exactly ``"%.11e" % value`` (the same text as
     ``{:.11e}``), which is correctly rounded; the text is computed for a
-    block's float columns at once by ``_float_text``.  For zero and every |x| in [1e-11, 1e34), E =
-    floor(log10 |x|) sets k = 11 - E with |k| <= 22, so the 12-digit
-    mantissa y = |x| * 10**k is one product or quotient by 5**|k|, which is
-    an exact double, and an exact scaling by 2**k.  That is one rounding,
-    so y < 2**40 is within 2**-13 of its true value, and ``rint(y)`` is the
-    correctly rounded mantissa unless frac(y) is within 2**-10 of 1/2.
-    Only those near-ties, nan, +-inf and |x| outside [1e-11, 1e34) take the
-    per-value fallback ``"%.11e" % value``.  An int, bool or str cell is
-    ``str`` of its value (which holds no NUL), packed once per table.
+    block's float columns at once by ``_float_text``, which says why it is
+    exact.  An int, bool or str cell is ``str`` of its value (which holds
+    no NUL), packed once per table.
 
     A block of ``_BLOCK_ROWS`` rows is one uint8 array with a fixed-width
     slot per cell: the separator's place, then the text, NUL-padded.  The
@@ -331,8 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=int, default=20)
     p.add_argument("--seed", type=int, default=20240811)
     p.add_argument("--n-cells", type=int, default=32)
-    p.add_argument("--wavepacket-cells", type=int, default=400)
-    p.add_argument("--sigma-x", type=float, default=20.0)
+    p.add_argument("--sigma-x", type=float, default=20.0,
+                   help="packet width in cells (>= 1); each chain grows as about 19 sigma_x")
     p.add_argument("--skip-wavepacket", action="store_true")
     return parser
 
@@ -441,7 +435,6 @@ def run(argv=None) -> int:
                 seed=args.seed,
                 n_cells=args.n_cells,
                 include_wavepacket=not args.skip_wavepacket,
-                wavepacket_cells=args.wavepacket_cells,
                 sigma_x=args.sigma_x,
             )
             _emit([_json_text(report)], args.out)

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import UnsupportedFeatureError, ValidationError
+from .errors import ValidationError
 
 
 class Band(enum.Enum):
@@ -40,7 +40,6 @@ class WaveguideParams:
 
     delta: float
     J: float = 1.0
-    omega0: float = 0.0
 
     @property
     def t1(self) -> float:
@@ -116,9 +115,7 @@ def validate(
     """Check every invariant and return the normalized bundle.
 
     Raises :class:`ValidationError` naming the offending field (a NaN or
-    infinite energy too), or :class:`UnsupportedFeatureError` for a nonzero
-    on-site energy (which would break the chiral symmetry this version
-    relies on).
+    infinite energy too).
     """
     for name, value in (("J", params.J), ("omega_e", emitter.omega_e),
                         ("delta_c", emitter.delta_c), ("omega_rabi", emitter.omega_rabi),
@@ -129,11 +126,6 @@ def validate(
         raise ValidationError(f"J out of range: {params.J} (must be > 0)")
     if not -1.0 <= params.delta <= 1.0:
         raise ValidationError(f"delta out of range: {params.delta} (must be in [-1, 1])")
-    if params.omega0 != 0.0:
-        raise UnsupportedFeatureError(
-            f"omega0 = {params.omega0} unsupported: nonzero on-site energy breaks "
-            "chiral symmetry; shift omega_e instead"
-        )
     if emitter.omega_rabi < 0.0:
         raise ValidationError(f"omega_rabi out of range: {emitter.omega_rabi} (must be >= 0)")
     if emitter.g < 0.0:

@@ -7,11 +7,16 @@ oracle itself stays free of any transfer-matrix code.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 
-from .bands import band_edges, dispersion_grid, momentum_from_energy
+from .bands import band_edges, dispersion_grid, group_velocity, momentum_from_energy
 from .errors import ValidationError
 from .lattice import (
+    EMITTER_EMPTY,
+    _check_packet_width,
     boundary_matched_solve,
     packet_momentum_weights,
     wavepacket_transport,
@@ -24,27 +29,38 @@ from .scattering import (
     transfer_matrix,
     transmittance,
 )
+from .spectra import poles
 
 TOL_AGREEMENT = 1e-10
 TOL_WAVEPACKET = 2e-2
 
-# Carrier/control-field settings for the transport oracle: a detuned, a
-# resonant, and a strongly driven case per coupling variant.  Single-site
-# variants run on the delta = 0.5 chain.  The two-site variant runs on
-# delta = -0.5, where the hybridized modes are broad and ring down quickly;
-# its resonant case transmits substantially and needs the extra length.  On
-# delta = +0.5 the resonant mode decays so slowly (2 |Im| of the pole about
-# 2.3e-3) that the emitter population does not fall below EMITTER_EMPTY
-# within wavepacket_transport's fixed budget of 64 evolution steps, about
-# 1500 time units, on any chain length; the chain length is not the limit.
-_PACKET_SETTINGS = {
-    Variant.A: {"delta": 0.5, "cells_scale": 1.0,
-                "cases": ((1.62, 0.0), (1.5, 0.0), (1.5, 0.4))},
-    Variant.B: {"delta": 0.5, "cells_scale": 1.0,
-                "cases": ((1.62, 0.0), (1.5, 0.0), (1.5, 0.4))},
-    Variant.AB: {"delta": -0.5, "cells_scale": 1.5,
-                 "cases": ((1.62, 0.0), (1.5, 0.0), (1.5, 0.4))},
-}
+# Transport oracle cases (variant, delta, carrier energy, Omega): a detuned,
+# a resonant and a strongly driven case per coupling variant, single-site
+# variants on the delta = 0.5 chain and the two-site variant on delta = -0.5,
+# plus the resonant two-site case on delta = 0.5, whose slow ring-down
+# (2 |Im| of the pole about 2.3e-3) asks for the longest chain.
+_PACKET_SETTINGS = (
+    (Variant.A, 0.5, 1.62, 0.0), (Variant.A, 0.5, 1.5, 0.0), (Variant.A, 0.5, 1.5, 0.4),
+    (Variant.B, 0.5, 1.62, 0.0), (Variant.B, 0.5, 1.5, 0.0), (Variant.B, 0.5, 1.5, 0.4),
+    (Variant.AB, -0.5, 1.62, 0.0), (Variant.AB, -0.5, 1.5, 0.0), (Variant.AB, -0.5, 1.5, 0.4),
+    (Variant.AB, 0.5, 1.5, 0.0),
+)
+
+
+def _packet_cells(config, params, emitter, k0, sigma_x) -> int:
+    """Chain length for a transport run, from the closed-form poles.
+
+    The run lasts about the packet's passage, 5.5 sigma_x / v, plus the time
+    the slowest nonzero pole (the zero one at Omega = 0 is the decoupled
+    level a) takes to bring the emitter to EMITTER_EMPTY; the chain holds
+    that flight and the packet on each side of a mid-chain emitter.  Only
+    the length depends on the closed forms, never the transported answer.
+    """
+    speed = group_velocity(k0, params)
+    pair = poles(config, params, emitter, k0)
+    rate = 2.0 * min(abs(p.imag) for p in (pair.pole_plus, pair.pole_minus) if p)
+    t = 5.5 * sigma_x / speed + math.log(1.0 / EMITTER_EMPTY) / rate
+    return 2 * math.ceil(speed * t + 4.0 * sigma_x)
 
 
 def bandwidth_averaged_transmission(
@@ -107,7 +123,6 @@ def agreement_report(
     seed: int = 20240811,
     n_cells: int = 32,
     include_wavepacket: bool = True,
-    wavepacket_cells: int = 400,
     sigma_x: float = 20.0,
 ) -> dict:
     """Run the full agreement chain and return a JSON-ready report.
@@ -115,12 +130,15 @@ def agreement_report(
     For every coupling variant, ``draws_per_config`` random in-band points
     compare the closed-form transmission against the transfer-matrix
     pipeline and against the boundary-matched lattice solve; the transport
-    oracle then checks each variant at three carrier settings.
+    oracle then runs the ten cases of ``_PACKET_SETTINGS``, each on a chain
+    sized by :func:`_packet_cells`.
     """
     if draws_per_config < 0:
         raise ValidationError(f"draws_per_config must not be negative, got {draws_per_config}")
     if draws_per_config == 0 and not include_wavepacket:
         raise ValidationError("nothing to check: draws_per_config = 0 and no wavepackets")
+    if include_wavepacket:
+        _check_packet_width(sigma_x)
     rng = np.random.default_rng(seed)
     max_cm = 0.0
     max_cl = 0.0
@@ -141,33 +159,21 @@ def agreement_report(
     packet_cases = []
     max_wp = 0.0
     if include_wavepacket:
-        for variant, setting in _PACKET_SETTINGS.items():
+        for variant, delta, omega_carrier, omega_rabi in _PACKET_SETTINGS:
             config = CouplingConfig(variant)
-            wg = WaveguideParams(delta=setting["delta"])
-            cells = int(round(wavepacket_cells * setting["cells_scale"]))
-            for omega_carrier, omega_rabi in setting["cases"]:
-                emitter = EmitterParams(
-                    omega_e=1.5, omega_rabi=omega_rabi, g=0.2, x1=cells // 2
-                )
-                k0 = momentum_from_energy(omega_carrier, wg)
-                run = wavepacket_transport(k0, sigma_x, cells, wg, emitter, config)
-                t_avg = bandwidth_averaged_transmission(
-                    config, wg, emitter, k0, sigma_x, cells
-                )
-                diff = abs(run.transmitted - t_avg)
-                max_wp = max(max_wp, diff)
-                packet_cases.append(
-                    {
-                        "config": variant.value,
-                        "delta": setting["delta"],
-                        "k0": k0,
-                        "omega_rabi": omega_rabi,
-                        "n_cells": cells,
-                        "T_analytic_avg": t_avg,
-                        "T_wp": run.transmitted,
-                        "diff": diff,
-                    }
-                )
+            wg = WaveguideParams(delta=delta)
+            emitter = EmitterParams(omega_e=1.5, omega_rabi=omega_rabi, g=0.2)
+            k0 = momentum_from_energy(omega_carrier, wg)
+            cells = _packet_cells(config, wg, emitter, k0, sigma_x)
+            emitter = dataclasses.replace(emitter, x1=cells // 2)
+            run = wavepacket_transport(k0, sigma_x, cells, wg, emitter, config)
+            t_avg = bandwidth_averaged_transmission(config, wg, emitter, k0, sigma_x, cells)
+            diff = abs(run.transmitted - t_avg)
+            max_wp = max(max_wp, diff)
+            packet_cases.append({
+                "config": variant.value, "delta": delta, "k0": k0, "omega_rabi": omega_rabi,
+                "n_cells": cells, "T_analytic_avg": t_avg, "T_wp": run.transmitted, "diff": diff,
+            })
 
     passed = (
         max_cm < TOL_AGREEMENT

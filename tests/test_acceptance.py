@@ -271,7 +271,6 @@ def test_c10_oracle_agreement():
         draws_per_config=20,
         n_cells=32,
         include_wavepacket=True,
-        wavepacket_cells=400,
         sigma_x=20.0,
     )
     _criterion(

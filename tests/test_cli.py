@@ -184,7 +184,7 @@ class TestValidateCommand:
     def test_csv_format_rejected(self):
         assert run(["--format", "csv", "validate", "--skip-wavepacket"]) == 2
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e-300", "0.5"])
     def test_bad_packet_width_is_usage_error(self, capsys, value):
         assert run(["validate", "--draws", "0", f"--sigma-x={value}"]) == 2
         assert re.search(r"\bsigma_x\b", capsys.readouterr().err)
@@ -198,8 +198,6 @@ class TestValidateCommand:
         assert "draws" in captured.err
 
     def test_full_suite_with_wavepackets(self, tmp_path):
-        # default chain sizes: the two-site resonant case needs the full
-        # length for its ringdown, so only the draw count is reduced here
         out = tmp_path / "report.json"
         code = run([
             "--out", str(out), "validate", "--draws", "2", "--n-cells", "24",
@@ -207,7 +205,9 @@ class TestValidateCommand:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["passed"] is True
-        assert len(report["wavepacket_cases"]) == 9
+        cases = report["wavepacket_cases"]
+        assert len(cases) == 10
+        assert [c for c in cases if (c["config"], c["delta"]) == ("AB", 0.5)]
         assert report["max_wavepacket_diff"] < 2e-2
 
 

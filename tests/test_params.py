@@ -9,7 +9,7 @@ from sshscatter import (
     WaveguideParams,
     validate,
 )
-from sshscatter.errors import UnsupportedFeatureError, ValidationError
+from sshscatter.errors import ValidationError
 from sshscatter.params import bundle_from_dict
 
 
@@ -44,12 +44,6 @@ def test_delta_out_of_range_rejected():
 def test_non_finite_energy_rejected_by_name(field, value):
     with pytest.raises(ValidationError, match=rf"^{field} out of range: .*finite"):
         bundle_from_dict({field: value})
-
-
-def test_nonzero_onsite_energy_rejected():
-    wg = WaveguideParams(delta=0.5, omega0=0.1)
-    with pytest.raises(UnsupportedFeatureError):
-        validate(wg, EmitterParams(omega_e=1.5), CouplingConfig(Variant.A))
 
 
 def test_metastable_energy_derived():
