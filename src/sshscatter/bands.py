@@ -90,8 +90,11 @@ def band_phase(k: float, energy: float, params: WaveguideParams) -> float:
 
     For positive (upper-band) energies this is the principal phase of h(k);
     for negative (lower-band) energies it is shifted by pi.  Scattering
-    formulas written in terms of (energy, phi_E) cover both bands.
+    formulas written in terms of (energy, phi_E) cover both bands.  A zero
+    or non-finite energy has no phase and raises :class:`ValidationError`.
     """
+    if energy == 0.0 or not math.isfinite(energy):
+        raise ValidationError(f"energy = {energy} has no band phase (must be finite and nonzero)")
     return cmath.phase(bloch_point(k, params).h / energy)
 
 

@@ -6,16 +6,13 @@ transport.  No transfer-matrix or closed-form algebra from the scattering
 module is imported (a structural test enforces this), so agreement between
 the two routes is a genuine cross-check rather than a tautology.
 
-Boundary matching works by writing the amplitudes on the outermost unit
-cells as superpositions of the exact Bloch plane waves at the probe energy
-(unit incoming amplitude from the left, unknown reflected and transmitted
-amplitudes) and solving the interior equations of motion exactly.  That is
-exact at any finite chain length as long as the emitter sits in the bulk.
-Numbered by position (the emitter's two levels right after the coupling
-cell), that system is banded with lower and upper bandwidth 3.  Long chains
-solve it in O(N) by banded Gaussian elimination with partial pivoting;
-short ones, where LAPACK's dense LU is faster, expand the same band storage
-into a dense matrix.
+Boundary matching writes every cell left of the coupling cell as the
+incoming plus an unknown reflected Bloch plane wave at the probe energy and
+every cell right of it as an unknown transmitted one.  Away from the
+coupling cell the equations of motion admit only those two waves, so this is
+exact at any finite chain length as long as the emitter sits in the bulk,
+and what is left to solve is a 6x6 system at the coupling cell: r, its two
+sites, t and the emitter's two levels.
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ import cmath
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,15 +44,6 @@ WINDOW_CLEAR = 5e-3
 END_LEAK = 1e-4
 #: Chebyshev terms held at once by :func:`evolve`, summed by one product
 _BLOCK = 16
-#: lower and upper bandwidth of the positionally ordered boundary-matched
-#: system: the widest reach is the bond from cell x1's B site over e and a
-_HALF_BAND = 3
-#: chain length from which the boundary-matched system is eliminated over
-#: its band instead of by a dense LU.  Band over dense time of one whole
-#: solve, median over A/B/AB on both bands in three runs (2-core x86-64,
-#: Python 3.11, numpy 2.4, one BLAS thread): 1.2-1.5 at N = 32 (0.24-0.35
-#: ms dense), 1.0-1.25 at 48, 0.66-0.79 at 56, 0.37-0.47 at 96
-_BAND_SOLVE_MIN_CELLS = 56
 
 
 @dataclass(frozen=True)
@@ -188,6 +177,13 @@ class WavepacketRun:
     norm_drift: float
 
 
+def _cell_count(n_cells) -> int:
+    """``n_cells`` if it is an integer (a bool is not), else :class:`ValidationError`."""
+    if isinstance(n_cells, bool) or not isinstance(n_cells, numbers.Integral):
+        raise ValidationError(f"n_cells must be an integer cell count, got {n_cells!r}")
+    return int(n_cells)
+
+
 def build_hamiltonian(
     n_cells: int,
     params: WaveguideParams,
@@ -195,7 +191,7 @@ def build_hamiltonian(
     config: CouplingConfig,
 ) -> LatticeHamiltonian:
     """Assemble the (2N+2)-dimensional single-excitation Hamiltonian."""
-    n = n_cells
+    n = _cell_count(n_cells)
     if n < 1:
         raise ValidationError(f"n_cells = {n} must be positive")
     x1 = emitter.x1
@@ -224,23 +220,24 @@ def boundary_matched_solve(
 ) -> ScatterSolution:
     """Exact scattering amplitudes at signed energy ``omega``.
 
-    The outermost cells carry incoming + reflected (left) and transmitted
-    (right) plane waves; all interior equations of motion, including the
-    emitter rows, are solved as one linear system.  Its unknowns and
-    equations are numbered by position along the chain, with the emitter
-    levels e and a right after cell ``x1``, so it is banded with half-width
-    3 and is assembled straight into band storage.  From
-    ``_BAND_SOLVE_MIN_CELLS`` cells on it is solved by pivoted banded
-    elimination in O(N) time and memory; below, the band is expanded into a
-    dense matrix for LAPACK's pivoted LU, which is faster there.  An emitter
-    level with no path to the chain (e without couplings, a without the
-    drive or without e) is pinned to psi = 0, the solution; its row would be
-    empty at its own energy.  An exactly singular system raises
-    :class:`PotentialSingularityError`.  The residual
-    is the largest violation of (H - omega) psi = 0 over the enforced rows
-    after reconstructing the full state.
+    Every cell left of ``x1`` holds the incoming plus r times the reflected
+    Bloch wave, every cell right of it t times the transmitted one.  In a
+    stretch without coupling, at an in-band energy, the equations of motion
+    admit only those two waves, so the full-chain solution has this form and
+    the unknowns are six: r, the two sites of cell ``x1``, t and the
+    emitter levels e and a.  Their equations are the six rows that reach an
+    unknown (B of cell x1 - 1, both sites of cell x1, A of cell x1 + 1, e
+    and a), assembled from the Hamiltonian's stored entries and solved as
+    one dense 6x6 system; a null vector of it is one of the full system, so
+    both are singular at the same energies.  An emitter level with no path
+    to the chain (e without couplings, a without the drive or without e) is
+    pinned to psi = 0, the solution; its row would be empty at its own
+    energy.  An exactly singular system raises
+    :class:`PotentialSingularityError`.  The residual is the largest
+    violation of (H - omega) psi = 0 over every row of H but A_1 and B_N,
+    so it also checks the Bloch waves on every free row of the chain.
     """
-    n = n_cells
+    n = _cell_count(n_cells)
     if n < 8:
         raise ValidationError(f"n_cells = {n} too small for boundary matching (need >= 8)")
     x1 = emitter.x1
@@ -252,112 +249,54 @@ def boundary_matched_solve(
     phi_e = band_phase(k, omega, params)
     ham = build_hamiltonian(n, params, emitter, config)
 
-    # Each basis state is const + factor * unknown[pos], the unknowns numbered
-    # by position: r with cell 1, the interior sites in chain order with e
-    # and a right after cell x1's two sites, t with cell N.  Cell 1 holds the
-    # incoming plus r times the reflected Bloch wave, cell N t times the
-    # transmitted one.
-    pos = np.arange(-1, 2 * n + 1)
-    pos[:2] = 0
-    pos[2 * x1 : 2 * n - 2] += 2
-    pos[2 * n - 2 : 2 * n] = 2 * n - 1
-    pos[2 * n :] = 2 * x1 - 1, 2 * x1
-    bloch = np.array([cmath.exp(1j * phi_e), 1.0])
-    factor = np.ones(2 * n + 2, dtype=complex)
-    factor[:2] = cmath.exp(-1j * k) * bloch.conj()
-    factor[2 * n - 2 : 2 * n] = cmath.exp(1j * k * n) * bloch
+    # The incoming wave exp(ikj) (exp(i phi_E), 1) on cell j, from the powers
+    # of one rounded exp(ik): a neighbor is then one rounding away, where
+    # exp(ikj) per cell would leave residuals growing with j.  Basis state i
+    # is const[i] + factor[i] * sol[unknown[i]], the unknowns numbered by
+    # position: r, A and B of cell x1, t, e, a.
+    wave = np.multiply.outer(
+        np.cumprod(np.full(n, cmath.exp(1j * k))), (cmath.exp(1j * phi_e), 1.0)
+    ).ravel()
+    lo, hi = 2 * x1 - 2, 2 * x1
+    unknown = np.full(2 * n + 2, 3)
+    unknown[:lo] = 0
+    unknown[lo:hi] = 1, 2
+    unknown[2 * n :] = 4, 5
     const = np.zeros(2 * n + 2, dtype=complex)
-    const[:2] = cmath.exp(1j * k) * bloch
+    const[:lo] = wave[:lo]
+    factor = np.ones(2 * n + 2, dtype=complex)
+    factor[:lo] = wave[:lo].conj()
+    factor[hi : 2 * n] = wave[hi:]
 
-    # Every row except A_1 and B_N is enforced (all their neighbors have
-    # expansions); the equation of row i is numbered pos[i].  Exact zeros add
-    # nothing and are dropped, among them the BN-e bond, the one entry that
-    # would otherwise reach outside the band of half-width _HALF_BAND.  The
-    # rows from `pinned` on are the emitter levels pinned to psi = 0.
+    # The enforced rows are those that reach an unknown: B of cell x1 - 1 to
+    # A of cell x1 + 1, and e and a but for the levels pinned to psi = 0
+    # (the rows from `pinned` on).  The equation of row i is numbered unknown[i].
     pinned = 2 * n + (0 if not any(config.couplings(emitter.g)) else 2 if ham.bonds[-1] else 1)
+    enforced = np.zeros(2 * n + 2, dtype=bool)
+    enforced[lo - 1 : hi + 1] = True
+    enforced[2 * n : pinned] = True
     rows, states, vals = ham._entries()
-    vals = vals - omega * (rows == states)
-    keep = (rows != 0) & (rows != 2 * n - 1) & (vals != 0)
-    banded = np.zeros((2 * n, 2 * _HALF_BAND + 1), dtype=complex)
-    if pinned < 2 * n + 2:
-        keep &= rows < pinned
-        banded[pos[pinned:], _HALF_BAND] = 1.0
-    vals, eqs, states = vals[keep], pos[rows[keep]], states[keep]
-    np.add.at(banded, (eqs, pos[states] - eqs + _HALF_BAND), vals * factor[states])
-    rhs = np.zeros(2 * n, dtype=complex)
+    keep = enforced[rows]
+    vals = (vals - omega * (rows == states))[keep]
+    eqs, states = unknown[rows[keep]], states[keep]
+    mat = np.zeros((6, 6), dtype=complex)
+    np.add.at(mat, (eqs, unknown[states]), vals * factor[states])
+    mat[unknown[pinned:], unknown[pinned:]] = 1.0
+    rhs = np.zeros(6, dtype=complex)
     np.add.at(rhs, eqs, -vals * const[states])
     try:
-        if n >= _BAND_SOLVE_MIN_CELLS:
-            sol = _band_solve(banded, rhs)
-        else:
-            sol = np.linalg.solve(_dense(banded), rhs)
+        sol = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
         raise PotentialSingularityError(
             f"boundary-matched system singular at omega = {omega}: {exc}",
             pole=omega - emitter.omega_e,
         ) from exc
 
-    psi = const + factor * sol[pos]
-    residual = float(np.max(np.abs(np.delete(ham.apply(psi) - omega * psi, [0, 2 * n - 1]))))
-    return ScatterSolution(t_num=complex(sol[2 * n - 1]), r_num=complex(sol[0]), residual=residual)
-
-
-def _dense(band: np.ndarray) -> np.ndarray:
-    """The square matrix whose row i holds columns i - _HALF_BAND ..
-    i + _HALF_BAND in ``band[i]``."""
-    mat = np.zeros((len(band), len(band)), dtype=complex)
-    i, j = np.nonzero(band)
-    mat[i, i + j - _HALF_BAND] = band[i, j]
-    return mat
-
-
-def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the banded system of :func:`_dense` by Gaussian elimination
-    with partial pivoting, the algorithm of LAPACK ``zgbsv`` (Golub and
-    Van Loan, *Matrix Computations*, section 4.3), in O(len(rhs)).
-
-    Each row is held as a window that starts at its first nonzero column
-    and enters the elimination only at that column's step, so a step pivots
-    among and eliminates just the rows that reach its column.  Row
-    interchanges widen a pivot row to at most the band's width past its
-    diagonal, which the window holds.  An exactly zero pivot column raises
-    ``LinAlgError``, as ``np.linalg.solve`` does.
-    """
-    m, w = band.shape
-    nonzero = band != 0
-    first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), _HALF_BAND)
-    # row i as its entries from column i - _HALF_BAND + first[i] on,
-    # zero-padded to w, then rhs[i]
-    cols = first[:, None] + np.arange(w)
-    win = np.zeros((m, w + 1), dtype=complex)
-    win[:, :w] = np.where(cols < w, np.take_along_axis(band, np.minimum(cols, w - 1), axis=1), 0)
-    win[:, w] = rhs
-    arrivals = [[] for _ in range(m)]
-    for row, s in zip(win.tolist(), (np.arange(m) - _HALF_BAND + first).tolist()):
-        arrivals[s].append(row)
-    active, pivots = [], []
-    for k in range(m):
-        active += arrivals[k]
-        p, best = -1, 0.0
-        for i, row in enumerate(active):
-            size = abs(row[0])
-            if size > best:
-                p, best = i, size
-        if p < 0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        pivots.append(active.pop(p))
-        # unrolled over the fixed width 2 * _HALF_BAND + 1
-        h, u1, u2, u3, u4, u5, u6, ub = pivots[-1]
-        for i, r in enumerate(active):
-            f = r[0] / h
-            active[i] = [r[1] - f * u1, r[2] - f * u2, r[3] - f * u3, r[4] - f * u4,
-                         r[5] - f * u5, r[6] - f * u6, 0j, r[7] - f * ub]
-    x = [0j] * (m + w)
-    for k in range(m - 1, -1, -1):
-        h, u1, u2, u3, u4, u5, u6, b = pivots[k]
-        x[k] = (b - u1 * x[k + 1] - u2 * x[k + 2] - u3 * x[k + 3] - u4 * x[k + 4]
-                - u5 * x[k + 5] - u6 * x[k + 6]) / h
-    return np.array(x[:m])
+    psi = const + factor * sol[unknown]
+    violation = np.abs(ham.apply(psi) - omega * psi)
+    violation[[0, 2 * n - 1]] = 0.0
+    residual = float(np.max(violation))
+    return ScatterSolution(t_num=complex(sol[3]), r_num=complex(sol[0]), residual=residual)
 
 
 @functools.lru_cache(maxsize=32)

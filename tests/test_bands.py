@@ -274,3 +274,11 @@ def test_band_phase_upper_and_lower(trivial_chain):
     assert upper == pytest.approx(bp.phi_k, abs=1e-14)
     # shifted by pi: exp(i lower) = -exp(i upper)
     assert np.exp(1j * lower) == pytest.approx(-np.exp(1j * upper), abs=1e-14)
+
+
+@pytest.mark.parametrize("energy", [0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_band_phase_without_an_energy_is_named(trivial_chain, energy):
+    # 0 used to raise a bare ZeroDivisionError, nan and +-inf to return a
+    # phase (nan, 0 or pi) silently
+    with pytest.raises(ValidationError, match=r"energy = "):
+        band_phase(1.3, energy, trivial_chain)

@@ -1,6 +1,9 @@
 import ast
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -199,8 +202,9 @@ class TestBoundaryMatchedSolve:
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("band", list(Band))
     def test_independent_of_chain_length(self, variant, band):
-        # boundary matching is exact at any length, so N = 32 (dense LU)
-        # and 128 up to 4096 (band solve) must give one answer
+        # boundary matching is exact at any length, so N = 32 up to 4096
+        # must give one answer, and the residual checks the Bloch waves
+        # on every free row of the longest chain too
         wg = WaveguideParams(delta=0.35)
         emitter = EmitterParams(
             omega_e=1.42 * band.sign, delta_c=0.06, omega_rabi=0.17, g=0.27, x1=9
@@ -216,16 +220,12 @@ class TestBoundaryMatchedSolve:
             assert abs(sol.r_num - sols[0].r_num) < 1e-10
         assert abs(abs(sols[0].t_num) ** 2 + abs(sols[0].r_num) ** 2 - 1.0) < 1e-10
 
-    @pytest.mark.parametrize("solve", ["crossover", "band_everywhere"])
     @pytest.mark.parametrize("n", [8, 24, 32, 48, 96, 128])
     @pytest.mark.parametrize("band", list(Band))
     @pytest.mark.parametrize("variant", list(Variant))
-    def test_matches_dense_reference(self, monkeypatch, variant, band, n, solve):
-        # N = 8 .. 48 lie below the crossover and 96, 128 above it; taking
-        # the band solve everywhere also puts e and a next to either end
-        assert 48 < sshscatter.lattice._BAND_SOLVE_MIN_CELLS <= 96
-        if solve == "band_everywhere":
-            monkeypatch.setattr(sshscatter.lattice, "_BAND_SOLVE_MIN_CELLS", 0)
+    def test_matches_dense_reference(self, variant, band, n):
+        # the six-unknown solve against all 2N chain unknowns solved at
+        # once, with the coupling cell next to either end of the chain
         config = CouplingConfig(variant, 0.35)
         for delta in (0.35, -0.35):
             wg = WaveguideParams(delta=delta)
@@ -240,23 +240,27 @@ class TestBoundaryMatchedSolve:
                 assert abs(sol.r_num - r_ref) < 1e-12
                 assert sol.residual < 1e-12
 
+    @pytest.mark.parametrize("g", [0.27, 0.0])
     @pytest.mark.parametrize("band", list(Band))
     @pytest.mark.parametrize("fraction", [1e-8, 1e-4, 1 - 1e-4, 1 - 1e-8])
     @pytest.mark.parametrize("delta", [0.35, -0.35, 0.05, -0.9])
-    def test_near_band_edges(self, delta, fraction, band):
+    def test_near_band_edges(self, delta, fraction, band, g):
         # 1e-8 and 1e-4 of the band width from the gap edge and from the
         # outer edge, where the incoming and reflected waves nearly coincide
         wg = WaveguideParams(delta=delta)
         gap, outer = band_edges(wg)
         omega = band.sign * (gap + fraction * (outer - gap))
-        emitter = EmitterParams(omega_e=omega, delta_c=0.06, omega_rabi=0.17, g=0.27, x1=9)
+        emitter = EmitterParams(omega_e=omega, delta_c=0.06, omega_rabi=0.17, g=g, x1=9)
         for variant in Variant:
             config = CouplingConfig(variant, 0.35)
+            t = transmittance(config, omega, wg, emitter, band)
             short, long = (
                 boundary_matched_solve(omega, n, wg, emitter, config, band) for n in (32, 512)
             )
             assert short.residual < 1e-12
             assert long.residual < 1e-12
+            assert abs(short.t_num - t) < 1e-10
+            assert abs(long.t_num - t) < 1e-10
             assert abs(long.t_num - short.t_num) < 1e-10
             assert abs(long.r_num - short.r_num) < 1e-10
 
@@ -268,8 +272,7 @@ class TestBoundaryMatchedSolve:
         # at Omega = 0 level a has no path to the chain, nor has e at g = 0:
         # probed on their own energies their rows would be empty, so they are
         # pinned to psi = 0.  At omega = omega_e = omega_a single-site
-        # coupling is the perfect mirror t = 0; g = 0 gives t = 1.  Both
-        # solver paths (dense below 56 cells, banded above) are covered
+        # coupling is the perfect mirror t = 0; g = 0 gives t = 1
         config = CouplingConfig(variant)
         emitter = EmitterParams(omega_e=1.5, delta_c=delta_c, omega_rabi=0.0, g=g, x1=10)
         for omega in (1.5, 1.5 - delta_c):
@@ -290,8 +293,8 @@ class TestBoundaryMatchedSolve:
             assert abs(sol.t_num - 1.0) < 1e-10 and sol.residual < 1e-12
 
     def test_long_chain_memory(self, trivial_chain, config_ab):
-        # the band solve holds O(N) numbers; the dense matrix at N = 4096
-        # alone would take 1 GB
+        # the solve holds O(N) numbers; a dense matrix of the whole chain
+        # at N = 4096 alone would take 1 GB
         emitter = EmitterParams(omega_e=1.5, delta_c=0.07, omega_rabi=0.23, g=0.3, x1=9)
         boundary_matched_solve(1.6, 64, trivial_chain, emitter, config_ab)
         tracemalloc.start()
@@ -306,6 +309,20 @@ class TestBoundaryMatchedSolve:
         emitter = EmitterParams(omega_e=1.5, g=0.2, x1=2)
         with pytest.raises(PlacementError):
             boundary_matched_solve(1.6, 24, trivial_chain, emitter, config_a)
+
+    @pytest.mark.parametrize("n_cells", [8.0, 24.5, 1.5, math.nan, math.inf, True, "24"])
+    def test_non_integer_chain_length_is_named(self, trivial_chain, config_a, n_cells):
+        # 8.0 used to end in numpy's TypeError inside build_hamiltonian
+        emitter = EmitterParams(omega_e=1.5, g=0.2, x1=4)
+        with pytest.raises(ValidationError, match=r"\bn_cells\b"):
+            boundary_matched_solve(1.6, n_cells, trivial_chain, emitter, config_a)
+        with pytest.raises(ValidationError, match=r"\bn_cells\b"):
+            build_hamiltonian(n_cells, trivial_chain, emitter, config_a)
+
+    def test_numpy_integer_chain_length_accepted(self, trivial_chain, config_a):
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=11)
+        sol = boundary_matched_solve(1.6, np.int64(24), trivial_chain, emitter, config_a)
+        assert sol == boundary_matched_solve(1.6, 24, trivial_chain, emitter, config_a)
 
 
 class TestEvolve:
@@ -521,6 +538,12 @@ class TestWavepacket:
         with pytest.raises(ChainTooShortError):
             wavepacket_transport(1.5, 20.0, 400, trivial_chain, emitter, config_a)
 
+    @pytest.mark.parametrize("n_cells", [400.0, 400.5, math.nan, math.inf])
+    def test_non_integer_chain_length_is_named(self, trivial_chain, config_a, n_cells):
+        emitter = EmitterParams(omega_e=1.5, g=0.2, x1=200)
+        with pytest.raises(ValidationError, match=r"\bn_cells\b"):
+            wavepacket_transport(1.5, 20.0, n_cells, trivial_chain, emitter, config_a)
+
     @pytest.mark.parametrize("sigma_x", [math.nan, math.inf, 0.0, -1.0, -math.inf, 1e-300, 0.5])
     def test_bad_packet_width_is_named(self, trivial_chain, config_a, sigma_x):
         # nan used to fail in int(round(...)); below one cell the step
@@ -545,3 +568,22 @@ def test_oracle_does_not_import_scattering_code():
             imported.update(alias.name for alias in node.names)
     assert not any("scattering" in name for name in imported)
     assert not any("spectra" in name for name in imported)
+
+
+def test_package_import_loads_no_heavy_dependency():
+    # importing scipy.linalg would add about 0.3 s and 28 MB to every start
+    # (2-core x86-64 VM), so the oracle solves with numpy; mpmath and
+    # hypothesis serve the tests only
+    src = str(Path(sshscatter.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = (
+        "import sys, sshscatter, sshscatter.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules"
+        " if m.partition('.')[0] in ('scipy', 'mpmath', 'hypothesis'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == []
