@@ -11,8 +11,12 @@ incoming plus an unknown reflected Bloch plane wave at the probe energy and
 every cell right of it as an unknown transmitted one.  Away from the
 coupling cell the equations of motion admit only those two waves, so this is
 exact at any finite chain length as long as the emitter sits in the bulk,
-and what is left to solve is a 6x6 system at the coupling cell: r, its two
-sites, t and the emitter's two levels.
+and what is left to solve is a 6x6 system at the coupling cell in r, its two
+sites, t and the emitter's two levels: the rows of B of cell x1 - 1, A and B
+of cell x1, A of cell x1 + 1, e and a, written once as expressions that hold
+for one energy or an array of them.  One energy is one small solve; an
+array is solved a chunk at a time, each chunk one stacked solve and one
+pass of H over its states for the residuals.
 """
 
 from __future__ import annotations
@@ -26,7 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import band_phase, group_velocity, momentum_from_energy, require_dispersive
+from .bands import (
+    band_phase,
+    d_vector,
+    group_velocity,
+    momentum_from_energy,
+    momentum_grid,
+    require_dispersive,
+)
 from .errors import (
     ChainTooShortError,
     IntegrationAccuracyError,
@@ -44,6 +55,11 @@ WINDOW_CLEAR = 5e-3
 END_LEAK = 1e-4
 #: Chebyshev terms held at once by :func:`evolve`, summed by one product
 _BLOCK = 16
+#: complex entries of psi per chunk of a solve over an array of energies: at
+#: 512 kB an array, the few that a residual pass holds stay in a core's L2
+#: cache (2^18 took about 1.8 times as long per energy at N = 32 and 512 on
+#: a 2-core x86-64 VM with 2 MB of L2 per core)
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -84,35 +100,34 @@ class LatticeHamiltonian:
         return h
 
     @functools.cached_property
-    def _stencil(self):
-        """H as :func:`_hop` applies it: the diagonal and the bonds each
-        repeated twice, for the float64 view of a complex state, and the
-        nonzero couplings as (float index of e, float index of the site,
-        value)."""
-        pairs = zip(self.sites.tolist(), self.couplings.tolist())
-        links = tuple((2 * self.dim - 4, 2 * site, g) for site, g in pairs if g)
-        return self.onsite.repeat(2), self.bonds.repeat(2), links
-
-    @functools.cached_property
     def _chebyshev(self):
         """(c, w, 2X), the set-up of :func:`evolve`: the center and half-width
         of the Gershgorin interval holding H's spectrum, and 2X = 2 (H - c)/w
-        as :attr:`_stencil` gives H."""
+        as :func:`_hop` applies it: the diagonal and the bonds each repeated
+        twice, for the float64 view of a complex state, and the nonzero
+        couplings as (float index of e, float index of the site, value)."""
         rows, cols, vals = self._entries()
         radius = np.bincount(rows, weights=np.abs(vals) * (rows != cols), minlength=self.dim)
         lo, hi = float(np.min(self.onsite - radius)), float(np.max(self.onsite + radius))
         center, half = (hi + lo) / 2.0, (hi - lo) / 2.0 or 1.0
         s = 2.0 / half
-        diag, bonds, links = self._stencil
-        links = tuple((e, site, s * g) for e, site, g in links)
-        return center, half, (s * (diag - center), s * bonds, links)
+        pairs = zip(self.sites.tolist(), self.couplings.tolist())
+        links = tuple((2 * self.dim - 4, 2 * site, s * g) for site, g in pairs if g)
+        diag, bonds = (s * (self.onsite - center)).repeat(2), (s * self.bonds).repeat(2)
+        return center, half, (diag, bonds, links)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """H psi in O(N) operations."""
-        psi = np.ascontiguousarray(psi, dtype=complex)
-        out = np.empty_like(psi)
-        src, dst = _views((psi, out))
-        _hop(dst, src, self._stencil, np.empty(2 * self.dim - 2))
+        """H psi along the last axis, for one state or a stack of states,
+        in O(N) operations each."""
+        psi = np.asarray(psi, dtype=complex)
+        out = psi * self.onsite
+        head, tail = out[..., :-1], out[..., 1:]
+        head += self.bonds * psi[..., 1:]
+        tail += self.bonds * psi[..., :-1]
+        cell = slice(self.sites[0], self.sites[0] + 2)
+        emitter, sites = out[..., -2], out[..., cell]
+        emitter += psi[..., cell] @ self.couplings
+        sites += psi[..., -2:-1] * self.couplings
         return out
 
 
@@ -128,14 +143,14 @@ def _views(rows) -> list[tuple]:
 
 
 def _hop(out, psi, stencil, tmp) -> None:
-    """Write A psi into ``out`` in place, the one H-times-state kernel.
+    """Write 2X psi into ``out`` in place, the kernel of :func:`evolve`.
 
-    A is real and symmetric, tridiagonal along the basis plus the emitter
-    couplings: ``stencil`` is H as :attr:`LatticeHamiltonian._stencil` gives
-    it, or the 2X of :func:`evolve`.  The tridiagonal part runs on the float64
-    views of :func:`_views`, where the real and imaginary parts of a complex
-    entry share its real coefficient, so no array is cast and ``tmp`` (as
-    long as ``bonds``) is the only scratch; each coupling is four scalar updates.
+    2X is real and symmetric, tridiagonal along the basis plus the emitter
+    couplings, and ``stencil`` is it as :attr:`LatticeHamiltonian._chebyshev`
+    gives it.  The tridiagonal part runs on the float64 views of
+    :func:`_views`, where the real and imaginary parts of a complex entry
+    share its real coefficient, so no array is cast and ``tmp`` (as long as
+    ``bonds``) is the only scratch; each coupling is four scalar updates.
     """
     flat, head, tail, mem = out
     vflat, vhead, vtail, vmem = psi
@@ -210,15 +225,83 @@ def build_hamiltonian(
     return LatticeHamiltonian(onsite, bonds, sites, couplings)
 
 
+def _coupling_cell_equations(ham: LatticeHamiltonian, x1: int, omega, left, right) -> tuple:
+    """The six rows of (H - omega) psi = 0 that reach an unknown, as the
+    42 entries, row by row, of the augmented system [M | b] in the unknowns
+    (r, A_x1, B_x1, t, e, a).
+
+    ``left`` and ``right`` are the (A, B) amplitudes of the incoming wave on
+    cells x1 - 1 and x1 + 1, the reflected wave being their conjugate; every
+    coefficient is read off the Hamiltonian's stored entries at the coupling
+    cell.  The same expressions hold for a float omega with complex waves
+    and for arrays of them.  A level with no path to the chain is pinned:
+    its row is that of psi = 0.
+    """
+    lo, e = 2 * x1 - 2, ham.dim - 2
+    b_l2, b_l1, b_c, b_r1, b_r2 = ham.bonds[lo - 2 : lo + 3].tolist()
+    d_bl, d_a, d_b, d_ar, d_e, d_aa = [
+        v - omega for v in ham.onsite[lo - 1 : lo + 3].tolist() + ham.onsite[e:].tolist()
+    ]
+    drive = ham.bonds[e].item()
+    g1, g2 = ham.couplings.tolist()
+    (l_a, l_b), (r_a, r_b) = left, right
+    coupled = bool(g1 or g2)
+    e_row = (0.0, g1, g2, 0.0, d_e, drive) if coupled else (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    a_row = (0.0, 0.0, 0.0, 0.0, drive, d_aa) if coupled and drive else (0.0,) * 5 + (1.0,)
+    return (
+        d_bl * l_b.conjugate() + b_l2 * l_a.conjugate(), b_l1, 0.0, 0.0, 0.0, 0.0,
+        -(d_bl * l_b) - b_l2 * l_a,
+        b_l1 * l_b.conjugate(), d_a, b_c, 0.0, g1, 0.0, -b_l1 * l_b,
+        0.0, b_c, d_b, b_r1 * r_a, g2, 0.0, 0.0,
+        0.0, 0.0, b_r1, d_ar * r_a + b_r2 * r_b, 0.0, 0.0, 0.0,
+        *e_row, 0.0,
+        *a_row, 0.0,
+    )
+
+
+def _powers(z: np.ndarray, n: int) -> np.ndarray:
+    """z^j for j = 1..N, one row per entry of ``z``: the incoming wave
+    exp(ikj) from the powers of one rounded exp(ik), so that neighbors are
+    one rounding apart where exp(ikj) per cell would leave residuals
+    growing with j."""
+    powers = z[:, None].repeat(n, axis=1)
+    return np.multiply.accumulate(powers, axis=1, out=powers)
+
+
+def _residuals(ham, x1, omega, powers, phase, sol) -> np.ndarray:
+    """Per energy, the largest violation of (H - omega) psi = 0 over every
+    row of H but A_1 and B_N.  psi is, per cell, the incoming wave
+    powers (exp(i phi_E), 1) plus r times its conjugate left of cell x1 and
+    t times it right of x1, and the solved sites and levels, for the rows
+    of ``sol`` (r, A_x1, B_x1, t, e, a)."""
+    count, n = powers.shape
+    lo, hi = 2 * x1 - 2, 2 * x1
+    psi = np.empty((count, 2 * n + 2), dtype=complex)
+    cells = psi[:, : 2 * n].reshape(count, n, 2)
+    np.multiply(powers, phase[:, None], out=cells[:, :, 0])
+    cells[:, :, 1] = powers
+    left, right = psi[:, :lo], psi[:, hi : 2 * n]
+    left += sol[:, :1] * left.conj()
+    right *= sol[:, 3:4]
+    psi[:, lo:hi] = sol[:, 1:3]
+    psi[:, 2 * n :] = sol[:, 4:]
+    violation = ham.apply(psi)
+    violation -= omega[:, None] * psi
+    violation = np.abs(violation)
+    violation[:, 0] = violation[:, 2 * n - 1] = 0.0
+    return violation.max(axis=1)
+
+
 def boundary_matched_solve(
-    omega: float,
+    omega,
     n_cells: int,
     params: WaveguideParams,
     emitter: EmitterParams,
     config: CouplingConfig,
     band: Band = Band.UPPER,
-) -> ScatterSolution:
-    """Exact scattering amplitudes at signed energy ``omega``.
+) -> ScatterSolution | tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact scattering amplitudes at signed energy ``omega``, a float or a
+    1-d array of energies.
 
     Every cell left of ``x1`` holds the incoming plus r times the reflected
     Bloch wave, every cell right of it t times the transmitted one.  In a
@@ -226,16 +309,32 @@ def boundary_matched_solve(
     admit only those two waves, so the full-chain solution has this form and
     the unknowns are six: r, the two sites of cell ``x1``, t and the
     emitter levels e and a.  Their equations are the six rows that reach an
-    unknown (B of cell x1 - 1, both sites of cell x1, A of cell x1 + 1, e
-    and a), assembled from the Hamiltonian's stored entries and solved as
-    one dense 6x6 system; a null vector of it is one of the full system, so
-    both are singular at the same energies.  An emitter level with no path
-    to the chain (e without couplings, a without the drive or without e) is
-    pinned to psi = 0, the solution; its row would be empty at its own
-    energy.  An exactly singular system raises
-    :class:`PotentialSingularityError`.  The residual is the largest
-    violation of (H - omega) psi = 0 over every row of H but A_1 and B_N,
-    so it also checks the Bloch waves on every free row of the chain.
+    unknown, written once by :func:`_coupling_cell_equations` from the
+    Hamiltonian's stored entries at the coupling cell:
+
+    - B of cell x1 - 1, in r and A_x1;
+    - A of cell x1, in r, A_x1, B_x1 and e;
+    - B of cell x1, in A_x1, B_x1, t and e;
+    - A of cell x1 + 1, in B_x1 and t;
+    - e, in A_x1, B_x1, e and a;
+    - a, in e and a.
+
+    They are solved as one dense 6x6 system; a null vector of it is one of
+    the full system, so both are singular at the same energies.  An emitter
+    level with no path to the chain (e without couplings, a without the
+    drive or without e) is pinned to psi = 0, the solution; its row would
+    be empty at its own energy.  The residual is the largest violation of
+    (H - omega) psi = 0 over every row of H but A_1 and B_N, so it also
+    checks the Bloch waves on every free row of the chain.
+
+    A float returns a :class:`ScatterSolution`; an out-of-band energy raises
+    as :func:`momentum_from_energy` does, and an exactly singular system
+    raises :class:`PotentialSingularityError`.  An array returns
+    ``(solved, t, r, residual)``: the mask of the energies that are in band
+    (as :func:`momentum_grid` gives it) and whose system is not singular,
+    and the two amplitudes and the residual at those energies only.  The
+    energies are solved ``_CHUNK`` complex entries of psi at a time: one
+    stacked ``np.linalg.solve`` and one residual pass per chunk.
     """
     n = _cell_count(n_cells)
     if n < 8:
@@ -245,58 +344,64 @@ def boundary_matched_solve(
         raise PlacementError(
             f"x1 = {x1} too close to a chain end for N = {n} (need 4 <= x1 <= N-3)"
         )
-    k = momentum_from_energy(omega, params, band)
-    phi_e = band_phase(k, omega, params)
     ham = build_hamiltonian(n, params, emitter, config)
+    if isinstance(omega, numbers.Real):
+        k = momentum_from_energy(omega, params, band)
+        omega = float(omega)
+        phase = cmath.exp(1j * band_phase(k, omega, params))
+        powers = _powers(np.array([cmath.exp(1j * k)]), n)
+        left, right = powers[0, x1 - 2 : x1 + 1 : 2].tolist()
+        system = np.array(
+            _coupling_cell_equations(ham, x1, omega, (left * phase, left), (right * phase, right)),
+            dtype=complex,
+        ).reshape(6, 7)
+        try:
+            sol = np.linalg.solve(system[:, :6], system[:, 6])
+        except np.linalg.LinAlgError as exc:
+            raise PotentialSingularityError(
+                f"boundary-matched system singular at omega = {omega}: {exc}",
+                pole=omega - emitter.omega_e,
+            ) from exc
+        residual = _residuals(ham, x1, np.array([omega]), powers, np.array([phase]), sol[None])
+        return ScatterSolution(complex(sol[3]), complex(sol[0]), float(residual[0]))
 
-    # The incoming wave exp(ikj) (exp(i phi_E), 1) on cell j, from the powers
-    # of one rounded exp(ik): a neighbor is then one rounding away, where
-    # exp(ikj) per cell would leave residuals growing with j.  Basis state i
-    # is const[i] + factor[i] * sol[unknown[i]], the unknowns numbered by
-    # position: r, A and B of cell x1, t, e, a.
-    wave = np.multiply.outer(
-        np.cumprod(np.full(n, cmath.exp(1j * k))), (cmath.exp(1j * phi_e), 1.0)
-    ).ravel()
-    lo, hi = 2 * x1 - 2, 2 * x1
-    unknown = np.full(2 * n + 2, 3)
-    unknown[:lo] = 0
-    unknown[lo:hi] = 1, 2
-    unknown[2 * n :] = 4, 5
-    const = np.zeros(2 * n + 2, dtype=complex)
-    const[:lo] = wave[:lo]
-    factor = np.ones(2 * n + 2, dtype=complex)
-    factor[:lo] = wave[:lo].conj()
-    factor[hi : 2 * n] = wave[hi:]
-
-    # The enforced rows are those that reach an unknown: B of cell x1 - 1 to
-    # A of cell x1 + 1, and e and a but for the levels pinned to psi = 0
-    # (the rows from `pinned` on).  The equation of row i is numbered unknown[i].
-    pinned = 2 * n + (0 if not any(config.couplings(emitter.g)) else 2 if ham.bonds[-1] else 1)
-    enforced = np.zeros(2 * n + 2, dtype=bool)
-    enforced[lo - 1 : hi + 1] = True
-    enforced[2 * n : pinned] = True
-    rows, states, vals = ham._entries()
-    keep = enforced[rows]
-    vals = (vals - omega * (rows == states))[keep]
-    eqs, states = unknown[rows[keep]], states[keep]
-    mat = np.zeros((6, 6), dtype=complex)
-    np.add.at(mat, (eqs, unknown[states]), vals * factor[states])
-    mat[unknown[pinned:], unknown[pinned:]] = 1.0
-    rhs = np.zeros(6, dtype=complex)
-    np.add.at(rhs, eqs, -vals * const[states])
-    try:
-        sol = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise PotentialSingularityError(
-            f"boundary-matched system singular at omega = {omega}: {exc}",
-            pole=omega - emitter.omega_e,
-        ) from exc
-
-    psi = const + factor * sol[unknown]
-    violation = np.abs(ham.apply(psi) - omega * psi)
-    violation[[0, 2 * n - 1]] = 0.0
-    residual = float(np.max(violation))
-    return ScatterSolution(t_num=complex(sol[3]), r_num=complex(sol[0]), residual=residual)
+    omega = np.asarray(omega, dtype=float)
+    if omega.ndim != 1:
+        raise ValidationError(f"omega must be a float or a 1-d array, got shape {omega.shape}")
+    in_band, k = momentum_grid(omega, params, band)
+    omega = omega[in_band]
+    # exp(i phi_E) of bands.band_phase at every energy, h(k) = dx - i dy
+    d = d_vector(k, params)
+    phase = np.exp(1j * np.angle((d.dx - 1j * d.dy) / omega))
+    z = np.exp(1j * k)
+    solved = np.ones(len(omega), dtype=bool)
+    t, r, residual = (np.empty(len(omega), dtype=dtype) for dtype in (complex, complex, float))
+    step = max(1, _CHUNK // ham.dim)
+    for start in range(0, len(omega), step):
+        part = slice(start, start + step)
+        powers = _powers(z[part], n)
+        left, right = powers[:, x1 - 2], powers[:, x1]
+        entries = _coupling_cell_equations(
+            ham, x1, omega[part], (left * phase[part], left), (right * phase[part], right)
+        )
+        system = np.empty((len(left), 42), dtype=complex)
+        for j, entry in enumerate(entries):
+            system[:, j] = entry
+        system = system.reshape(-1, 6, 7)
+        mat, vec = system[:, :, :6], system[:, :, 6:]
+        try:
+            sol = np.linalg.solve(mat, vec)[:, :, 0]
+        except np.linalg.LinAlgError:
+            # rare: find the exactly singular systems, solve the others
+            singular = np.linalg.slogdet(mat)[0] == 0.0
+            mat[singular] = np.eye(6)
+            solved[part] = ~singular
+            sol = np.linalg.solve(mat, vec)[:, :, 0]
+        t[part], r[part] = sol[:, 3], sol[:, 0]
+        residual[part] = _residuals(ham, x1, omega[part], powers, phase[part], sol)
+    mask = in_band.copy()
+    mask[in_band] = solved
+    return mask, t[solved], r[solved], residual[solved]
 
 
 @functools.lru_cache(maxsize=32)
@@ -334,9 +439,9 @@ def evolve(state: np.ndarray, ham: LatticeHamiltonian, t: float) -> np.ndarray:
     exp(-i H t) = exp(-i c t) sum_k a_k T_k(X), a_k from
     :func:`_chebyshev_coefficients` at x = w t (memoised, so repeated steps
     reuse them).  The terms follow T_{k+1} = 2X T_k - T_{k-1}, each written
-    in place by :func:`_hop`, the kernel of :meth:`LatticeHamiltonian.apply`,
-    into the next row of a fixed block of ``_BLOCK`` rows; whenever the block
-    is full, one complex matrix-vector product adds its a_k T_k to the sum.
+    in place by :func:`_hop` into the next row of a fixed block of
+    ``_BLOCK`` rows; whenever the block is full, one complex matrix-vector
+    product adds its a_k T_k to the sum.
     Memory is O(N) whatever the number of terms.  c, w and 2X are set up
     once per Hamiltonian.  The norm is checked to 1e-8 as the method contract.
     """

@@ -15,8 +15,10 @@ from sshscatter import (
     Band,
     CouplingConfig,
     EmitterParams,
+    ScatterSolution,
     Variant,
     WaveguideParams,
+    amplitude_grid,
     band_edges,
     band_phase,
     bandwidth_averaged_transmission,
@@ -25,6 +27,7 @@ from sshscatter import (
     evolve,
     gaussian_packet,
     momentum_from_energy,
+    momentum_grid,
     transmittance,
     wavepacket_transport,
 )
@@ -32,6 +35,7 @@ from sshscatter.errors import (
     BandEdgeError,
     ChainTooShortError,
     PlacementError,
+    PotentialSingularityError,
     ValidationError,
 )
 from sshscatter.lattice import (
@@ -107,6 +111,10 @@ class TestBuildHamiltonian:
         rng = np.random.default_rng(x1)
         psi = rng.normal(size=ham.dim) + 1j * rng.normal(size=ham.dim)
         np.testing.assert_allclose(ham.apply(psi), ham.matrix @ psi, rtol=0, atol=1e-14)
+        # a stack of states is applied along its last axis, each as alone
+        stack = rng.normal(size=(2, 3, ham.dim)) + 1j * rng.normal(size=(2, 3, ham.dim))
+        np.testing.assert_allclose(ham.apply(stack), stack @ ham.matrix.T, rtol=0, atol=1e-14)
+        assert np.array_equal(ham.apply(stack)[1, 2], ham.apply(stack[1, 2]))
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_apply_leaves_its_input_untouched(self, topological_chain, variant):
@@ -294,28 +302,33 @@ class TestBoundaryMatchedSolve:
 
     def test_long_chain_memory(self, trivial_chain, config_ab):
         # the solve holds O(N) numbers; a dense matrix of the whole chain
-        # at N = 4096 alone would take 1 GB
+        # at N = 4096 alone would take 1 GB.  Over 4096 energies the states
+        # are held a chunk of _CHUNK entries at a time: all at once, each
+        # array of them would take 537 MB
         emitter = EmitterParams(omega_e=1.5, delta_c=0.07, omega_rabi=0.23, g=0.3, x1=9)
-        boundary_matched_solve(1.6, 64, trivial_chain, emitter, config_ab)
-        tracemalloc.start()
-        try:
-            boundary_matched_solve(1.6, 4096, trivial_chain, emitter, config_ab)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
+        for omega in (1.6, np.linspace(1.01, 1.99, 4096)):
+            boundary_matched_solve(omega, 64, trivial_chain, emitter, config_ab)
+            tracemalloc.start()
+            try:
+                boundary_matched_solve(omega, 4096, trivial_chain, emitter, config_ab)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16e6
 
     def test_edge_placement_rejected(self, trivial_chain, config_a):
         emitter = EmitterParams(omega_e=1.5, g=0.2, x1=2)
-        with pytest.raises(PlacementError):
-            boundary_matched_solve(1.6, 24, trivial_chain, emitter, config_a)
+        for omega in (1.6, np.array([1.6, 1.7])):
+            with pytest.raises(PlacementError):
+                boundary_matched_solve(omega, 24, trivial_chain, emitter, config_a)
 
     @pytest.mark.parametrize("n_cells", [8.0, 24.5, 1.5, math.nan, math.inf, True, "24"])
     def test_non_integer_chain_length_is_named(self, trivial_chain, config_a, n_cells):
         # 8.0 used to end in numpy's TypeError inside build_hamiltonian
         emitter = EmitterParams(omega_e=1.5, g=0.2, x1=4)
-        with pytest.raises(ValidationError, match=r"\bn_cells\b"):
-            boundary_matched_solve(1.6, n_cells, trivial_chain, emitter, config_a)
+        for omega in (1.6, np.array([1.6, 1.7])):
+            with pytest.raises(ValidationError, match=r"\bn_cells\b"):
+                boundary_matched_solve(omega, n_cells, trivial_chain, emitter, config_a)
         with pytest.raises(ValidationError, match=r"\bn_cells\b"):
             build_hamiltonian(n_cells, trivial_chain, emitter, config_a)
 
@@ -323,6 +336,128 @@ class TestBoundaryMatchedSolve:
         emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=11)
         sol = boundary_matched_solve(1.6, np.int64(24), trivial_chain, emitter, config_a)
         assert sol == boundary_matched_solve(1.6, 24, trivial_chain, emitter, config_a)
+
+
+def _readme_recipes():
+    """The README's headline spectra as (chain, emitter, coupling, energies):
+    mirror and transparency, the strong-drive doublet and the topological
+    Fano line on both signs of delta, on the CLI's grids."""
+    a, ab = CouplingConfig(Variant.A), CouplingConfig(Variant.AB, 0.5)
+    recipes = {
+        f"eit-{rabi}": (0.5, a, rabi, np.linspace(-0.2, 0.2, 401)) for rabi in (0.0, 0.2)
+    }
+    recipes["ats"] = (0.5, a, 0.4, np.linspace(-0.35, 0.35, 10001))
+    for delta in (0.5, -0.5):
+        recipes[f"fano{delta:+}"] = (delta, ab, 0.0045, np.linspace(-0.03, 0.05, 8001))
+    return {
+        name: (WaveguideParams(delta=delta),
+               EmitterParams(omega_e=1.5, omega_rabi=rabi, g=0.2, x1=5), config, 1.5 + dk)
+        for name, (delta, config, rabi, dk) in recipes.items()
+    }
+
+
+_RECIPES = _readme_recipes()
+
+
+class TestArraySolve:
+    @pytest.mark.parametrize("name", list(_RECIPES))
+    def test_readme_recipes_match_closed_form(self, name):
+        # every in-band point of the README's spectra, checked on the lattice
+        wg, emitter, config, omega = _RECIPES[name]
+        in_band, t_closed, _ = amplitude_grid(config, omega, wg, emitter)
+        solved, t, r, residual = boundary_matched_solve(omega, 32, wg, emitter, config)
+        # no recipe energy is singular: none is masked beyond the band
+        assert np.flatnonzero(in_band & ~solved).tolist() == []
+        assert np.max(np.abs(t - t_closed)) < 1e-10
+        assert np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)) < 1e-10
+        assert np.max(residual) < 1e-12
+
+    @pytest.mark.parametrize("band", list(Band))
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_mask_is_the_momentum_grids(self, variant, band):
+        # grids across the gap edge and the outer edge, the edges themselves,
+        # energies of the other band's sign and nan: solved where k exists
+        wg = WaveguideParams(delta=0.35)
+        gap, outer = band_edges(wg)
+        omega = band.sign * np.r_[np.linspace(gap - 0.05, gap + 0.05, 101),
+                                  np.linspace(outer - 0.05, outer + 0.05, 101),
+                                  gap, outer, 0.0, -1.5, math.nan]
+        emitter = EmitterParams(omega_e=1.42 * band.sign, delta_c=0.06, omega_rabi=0.17,
+                                g=0.27, x1=9)
+        config = CouplingConfig(variant, 0.35)
+        solved, t, r, residual = boundary_matched_solve(omega, 32, wg, emitter, config, band)
+        in_band, _ = momentum_grid(omega, wg, band)
+        assert np.array_equal(solved, in_band)
+        assert 0 < solved.sum() < len(omega)
+        assert t.shape == r.shape == residual.shape == (solved.sum(),)
+        assert np.max(residual) < 1e-12
+
+    @pytest.mark.parametrize("g,omega_rabi", [(0.2, 0.0), (0.0, 0.0), (0.0, 0.4), (0.2, 0.4)])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_elements_match_the_scalar_call(self, trivial_chain, variant, g, omega_rabi):
+        # pinned levels (no drive, no coupling) inside an array, probed on
+        # the emitter's levels omega_e, omega_a and omega_e +- Omega/2 and
+        # across the band; each element is the scalar call's answer
+        config = CouplingConfig(variant, 0.35)
+        emitter = EmitterParams(omega_e=1.5, delta_c=0.05, omega_rabi=omega_rabi, g=g, x1=10)
+        omega = np.r_[1.5, 1.45, 1.3, 1.7, np.linspace(1.01, 1.99, 60)]
+        solved, t, r, residual = boundary_matched_solve(omega, 24, trivial_chain, emitter, config)
+        assert solved.all()
+        for i, w in enumerate(omega):
+            sol = boundary_matched_solve(w, 24, trivial_chain, emitter, config)
+            assert abs(t[i] - sol.t_num) < 1e-14
+            assert abs(r[i] - sol.r_num) < 1e-14
+            assert abs(residual[i] - sol.residual) < 1e-14
+            assert residual[i] < 1e-12
+
+    def test_numpy_scalar_is_a_float(self, trivial_chain, config_ab):
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=11)
+        sol = boundary_matched_solve(np.float64(1.6), 24, trivial_chain, emitter, config_ab)
+        assert isinstance(sol, ScatterSolution)
+        assert sol == boundary_matched_solve(1.6, 24, trivial_chain, emitter, config_ab)
+
+    @pytest.mark.parametrize("omega", [np.ones((2, 2)), np.array(1.6)])
+    def test_only_one_axis_of_energies(self, trivial_chain, config_ab, omega):
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=11)
+        with pytest.raises(ValidationError, match="1-d"):
+            boundary_matched_solve(omega, 24, trivial_chain, emitter, config_ab)
+
+    def test_chunks_give_the_same_answers(self, trivial_chain, config_ab, monkeypatch):
+        # the in-band energies in one chunk against chunks of 7, the last
+        # one short, and one solve per chunk
+        emitter = EmitterParams(omega_e=1.5, delta_c=0.07, omega_rabi=0.23, g=0.3, x1=9)
+        omega = np.linspace(0.9, 2.1, 100)
+        solve, sizes = np.linalg.solve, []
+
+        def counted(mat, rhs):
+            sizes.append(len(mat))
+            return solve(mat, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        whole = boundary_matched_solve(omega, 32, trivial_chain, emitter, config_ab)
+        assert sizes == [whole[0].sum()]
+        sizes.clear()
+        monkeypatch.setattr(sshscatter.lattice, "_CHUNK", 7 * 66)
+        parts = boundary_matched_solve(omega, 32, trivial_chain, emitter, config_ab)
+        count = int(whole[0].sum())
+        assert count % 7 and sizes == [min(7, count - i) for i in range(0, count, 7)]
+        for a, b in zip(whole, parts):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_singular_energy_is_masked(self, trivial_chain, variant):
+        # at g = 1e-200 and no drive, eliminating e's row at omega = omega_e
+        # leaves a pivot of order g^2, which underflows to an exact 0: the
+        # scalar call raises, an array masks that energy alone
+        config = CouplingConfig(variant, 0.35)
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=1e-200, x1=10)
+        with pytest.raises(PotentialSingularityError, match="singular"):
+            boundary_matched_solve(1.5, 32, trivial_chain, emitter, config)
+        omega = np.array([1.4, 1.5, 2.5, 1.6, 1.5])
+        solved, t, r, residual = boundary_matched_solve(omega, 32, trivial_chain, emitter, config)
+        assert np.flatnonzero(~solved).tolist() == [1, 2, 4]
+        for w, t_num in zip(omega[solved], t):
+            assert t_num == boundary_matched_solve(w, 32, trivial_chain, emitter, config).t_num
 
 
 class TestEvolve:
@@ -413,9 +548,9 @@ class TestEvolve:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_set_up_is_built_once_and_cannot_go_stale(self, topological_chain, variant):
-        # apply and evolve read what they need of H from values the
-        # Hamiltonian keeps; its arrays are read-only, so those values
-        # stay H's, and a reused Hamiltonian answers as a fresh one does
+        # evolve reads what it needs of H from a value the Hamiltonian
+        # keeps; its arrays are read-only, so that value stays H's, and a
+        # reused Hamiltonian answers as a fresh one does
         emitter = EmitterParams(omega_e=1.5, delta_c=0.05, omega_rabi=0.3, g=0.4, x1=6)
         config = CouplingConfig(variant, 0.3)
         ham = build_hamiltonian(12, topological_chain, emitter, config)
@@ -426,7 +561,7 @@ class TestEvolve:
         psi = rng.normal(size=ham.dim) + 1j * rng.normal(size=ham.dim)
         psi /= np.linalg.norm(psi)
         first, second = evolve(psi, ham, 3.7), evolve(psi, ham, 41.0)
-        assert ham._chebyshev is ham._chebyshev and ham._stencil is ham._stencil
+        assert ham._chebyshev is ham._chebyshev
 
         def fresh():
             return build_hamiltonian(12, topological_chain, emitter, config)

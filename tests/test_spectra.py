@@ -106,6 +106,23 @@ class TestPoles:
         assert pair(g).pole_plus == pytest.approx(reference, rel=1e-14, abs=0.0)
         assert pair(g).pole_minus == 0.0
 
+    @pytest.mark.parametrize("g,drive", [(2e-140, 1.6e35), (1e-150, 1e50)])
+    def test_strength_keeps_its_digits_beside_a_far_larger_drive(
+        self, trivial_chain, config_a, resonant_k, g, drive
+    ):
+        # Omega/2 >> |s|: Im of either pole is Re(s) = Im(2 i s)/2, the
+        # Omega = 0 pole.  At the discriminant's scale s is below the
+        # smallest normal double, so the larger root must take it at its own
+        # scale, 2^1022 up, not from the discriminant's copy
+        def pair(omega_rabi):
+            emitter = EmitterParams(omega_e=1.5, omega_rabi=omega_rabi, g=g, x1=5)
+            return poles(config_a, trivial_chain, emitter, resonant_k)
+
+        strength = pair(0.0).pole_plus.imag / 2.0
+        driven = pair(drive)
+        assert driven.pole_plus.imag == pytest.approx(strength, rel=1e-14, abs=0.0)
+        assert driven.pole_plus.real == pytest.approx(drive / 2.0, rel=1e-14)
+
     def test_detuned_control_unsupported(self, trivial_chain, config_a, resonant_k):
         emitter = EmitterParams(omega_e=1.5, delta_c=0.1, g=0.2, x1=5)
         with pytest.raises(UnsupportedFeatureError):
