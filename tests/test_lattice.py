@@ -1,5 +1,6 @@
 import ast
 import cmath
+import dataclasses
 import math
 import os
 import subprocess
@@ -43,6 +44,14 @@ from sshscatter.lattice import (
     _chebyshev_coefficients,
     packet_momentum_weights,
 )
+from sshscatter.validation import _PACKET_SETTINGS, _packet_cells
+
+
+def _gershgorin(ham):
+    """(lo, hi): the Gershgorin bounds of H's spectrum."""
+    rows, cols, vals = ham._entries()
+    radius = np.bincount(rows, weights=np.abs(vals) * (rows != cols), minlength=ham.dim)
+    return float(np.min(ham.onsite - radius)), float(np.max(ham.onsite + radius))
 
 
 def dense_reference_solve(omega, n, params, emitter, config, band=Band.UPPER):
@@ -446,11 +455,11 @@ class TestArraySolve:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_singular_energy_is_masked(self, trivial_chain, variant):
-        # at g = 1e-200 and no drive, eliminating e's row at omega = omega_e
-        # leaves a pivot of order g^2, which underflows to an exact 0: the
-        # scalar call raises, an array masks that energy alone
+        # at Omega = 1e-200 and two-photon resonance omega = omega_a, the
+        # elimination leaves a pivot of order Omega^2, which underflows to an
+        # exact 0: the scalar call raises, an array masks that energy alone
         config = CouplingConfig(variant, 0.35)
-        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=1e-200, x1=10)
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=1e-200, g=0.2, x1=10)
         with pytest.raises(PotentialSingularityError, match="singular"):
             boundary_matched_solve(1.5, 32, trivial_chain, emitter, config)
         omega = np.array([1.4, 1.5, 2.5, 1.6, 1.5])
@@ -458,6 +467,25 @@ class TestArraySolve:
         assert np.flatnonzero(~solved).tolist() == [1, 2, 4]
         for w, t_num in zip(omega[solved], t):
             assert t_num == boundary_matched_solve(w, 32, trivial_chain, emitter, config).t_num
+
+    @pytest.mark.parametrize("g", [1e-160, 1e-200, 1e-300])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_tiny_coupling_at_the_pole_hit_solves(self, trivial_chain, variant, g):
+        # at omega = omega_e without drive the emitter amplitude grows as
+        # 1/g, and unscaled the elimination formed g^2: at 1e-160 the solve
+        # returned nan with a RuntimeWarning, from 1e-200 down g^2 was 0 and
+        # the system singular.  A and B are mirrors there
+        config = CouplingConfig(variant)
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=g, x1=10)
+        t_closed = transmittance(config, 1.5, trivial_chain, emitter)
+        assert t_closed == 0.0 or variant is Variant.AB
+        sol = boundary_matched_solve(1.5, 32, trivial_chain, emitter, config)
+        assert abs(sol.t_num - t_closed) < 1e-10 and sol.residual < 1e-12
+        omega = np.array([1.4, 1.5, 1.6])
+        solved, t, r, residual = boundary_matched_solve(omega, 32, trivial_chain, emitter, config)
+        assert solved.all() and np.max(residual) < 1e-12
+        assert np.max(np.abs(t - amplitude_grid(config, omega, trivial_chain, emitter)[1])) < 1e-10
+        assert abs(t[1] - sol.t_num) < 1e-15
 
 
 class TestEvolve:
@@ -489,6 +517,46 @@ class TestEvolve:
         reference = vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ psi))
         np.testing.assert_allclose(evolve(psi, ham, t), reference, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("omega_e", [3.5, -3.5])
+    @pytest.mark.parametrize("t", [3.7, 50.0, 500.0])
+    def test_far_detuned_emitter_matches_eigh(self, topological_chain, variant, omega_e, t):
+        # the emitter's Gershgorin disc reaches beyond the chain's on one
+        # side, so the interval about zero is wider than the spectrum's
+        emitter = EmitterParams(omega_e=omega_e, delta_c=0.05, omega_rabi=0.3, g=0.4, x1=6)
+        ham = build_hamiltonian(12, topological_chain, emitter, CouplingConfig(variant, 0.3))
+        lo, hi = _gershgorin(ham)
+        assert ham._chebyshev[0] == max(-lo, hi) > (hi - lo) / 2.0
+        rng = np.random.default_rng(31)
+        psi = rng.normal(size=ham.dim) + 1j * rng.normal(size=ham.dim)
+        psi /= np.linalg.norm(psi)
+        vals, vecs = np.linalg.eigh(ham.matrix)
+        reference = vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ psi))
+        np.testing.assert_allclose(evolve(psi, ham, t), reference, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("setting", _PACKET_SETTINGS)
+    def test_validate_chains_keep_the_centred_interval(self, setting):
+        # on every transport case of `validate` the Gershgorin interval is
+        # symmetric about zero, so the interval about zero is as narrow and
+        # each step keeps its number of terms
+        variant, delta, omega_carrier, omega_rabi = setting
+        config, wg = CouplingConfig(variant), WaveguideParams(delta=delta)
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=omega_rabi, g=0.2)
+        k0 = momentum_from_energy(omega_carrier, wg)
+        cells = _packet_cells(config, wg, emitter, k0, 20.0)
+        ham = build_hamiltonian(cells, wg, dataclasses.replace(emitter, x1=cells // 2), config)
+        lo, hi = _gershgorin(ham)
+        assert ham._chebyshev[0] == (hi - lo) / 2.0 == hi == -lo
+
+    def test_chain_on_site_energy_is_refused(self, trivial_chain, resonant_emitter, config_a):
+        # the recurrence has no diagonal on the chain
+        ham = build_hamiltonian(12, trivial_chain, resonant_emitter, config_a)
+        onsite = ham.onsite.copy()
+        onsite[3] = 0.1
+        shifted = dataclasses.replace(ham, onsite=onsite)
+        with pytest.raises(ValidationError, match="on-site"):
+            evolve(np.eye(ham.dim)[0], shifted, 1.0)
+
     def test_steps_compose(self, trivial_chain, config_ab):
         emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.3, x1=20)
         ham = build_hamiltonian(40, trivial_chain, emitter, config_ab)
@@ -505,7 +573,7 @@ class TestEvolve:
             mid = (lo + hi) / 2.0
             lo, hi = (mid, hi) if count(mid) < n else (lo, mid)
         assert count(hi) == n
-        return hi / ham._chebyshev[1]
+        return hi / ham._chebyshev[0]
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("n_terms", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2])
@@ -536,7 +604,7 @@ class TestEvolve:
         emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=300)
         ham = build_hamiltonian(600, trivial_chain, emitter, config_ab)
         psi = gaussian_packet(1.5, 20.0, 200, trivial_chain, 600)
-        assert len(_chebyshev_coefficients(ham._chebyshev[1] * 1500.0)) > 3000
+        assert len(_chebyshev_coefficients(ham._chebyshev[0] * 1500.0)) > 3000
         _chebyshev_coefficients.cache_clear()
         tracemalloc.start()
         try:
@@ -592,8 +660,40 @@ class TestGaussianPacket:
         packet = gaussian_packet(1.5, 20.0, center, trivial_chain, n)
         np.testing.assert_allclose(packet, direct, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n_cells", [400.5, 400.0, True, 0, -3])
+    def test_bad_chain_length_is_named(self, trivial_chain, config_a, n_cells):
+        # 400.5 used to build a 401-point grid, True and 0 to return nan with
+        # RuntimeWarnings, and gaussian_packet at 400.0 to raise IndexError
+        emitter = EmitterParams(omega_e=1.5, g=0.2, x1=200)
+        with pytest.raises(ValidationError, match=r"\bn_cells\b"):
+            packet_momentum_weights(1.5, 20.0, n_cells)
+        with pytest.raises(ValidationError, match=r"\bn_cells\b"):
+            gaussian_packet(1.5, 20.0, 120, trivial_chain, n_cells)
+        with pytest.raises(ValidationError, match=r"\bn_cells\b"):
+            bandwidth_averaged_transmission(config_a, trivial_chain, emitter, 1.5, 20.0, n_cells)
+
 
 class TestWavepacket:
+    # (variant, delta, carrier energy, Omega, cells): (T, R, stop time) as
+    # computed at commit 6e81809, before the Chebyshev recurrence dropped
+    # the chain's diagonal; on these chains the interval is unchanged, so
+    # the transport must be too
+    PINNED = {
+        ("A", 0.5, 1.62, 0.0, 400): (0.8797089589997211, 0.12029103391714685, 325.1200067454083),
+        ("B", 0.5, 1.5, 0.4, 400): (0.9996719667613103, 0.0003280290608846471, 304.25553170226596),
+        ("AB", -0.5, 1.5, 0.0, 600): (0.5241544400242588, 0.47584453652201897, 588.2273612910476),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_transport_is_pinned(self, case):
+        variant, delta, omega_carrier, omega_rabi, cells = case
+        wg = WaveguideParams(delta=delta)
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=omega_rabi, g=0.2, x1=cells // 2)
+        k0 = momentum_from_energy(omega_carrier, wg)
+        run = wavepacket_transport(k0, 20.0, cells, wg, emitter, CouplingConfig(Variant(variant)))
+        for value, pinned in zip((run.transmitted, run.reflected, run.time), self.PINNED[case]):
+            assert abs(value - pinned) < 1e-12
+
     def test_free_propagation(self, trivial_chain, config_a):
         emitter = EmitterParams(omega_e=1.5, g=0.0, x1=200)
         k0 = momentum_from_energy(1.62, trivial_chain)
@@ -673,7 +773,7 @@ class TestWavepacket:
         with pytest.raises(ChainTooShortError):
             wavepacket_transport(1.5, 20.0, 400, trivial_chain, emitter, config_a)
 
-    @pytest.mark.parametrize("n_cells", [400.0, 400.5, math.nan, math.inf])
+    @pytest.mark.parametrize("n_cells", [400.0, 400.5, math.nan, math.inf, "400", None])
     def test_non_integer_chain_length_is_named(self, trivial_chain, config_a, n_cells):
         emitter = EmitterParams(omega_e=1.5, g=0.2, x1=200)
         with pytest.raises(ValidationError, match=r"\bn_cells\b"):
