@@ -1,10 +1,10 @@
 """Dispersion, Bloch phases, and topology of the bare dimerized waveguide.
 
-The two-band dispersion is ``omega_k = sqrt(t1^2 + t2^2 + 2 t1 t2 cos k)``
-with the complex intersublattice coupling ``h(k) = -t1 - t2 exp(-ik)``
-written as ``|h| exp(i phi_k)``.  Every phase in this package uses the
-principal branch of ``phi_k`` in (-pi, pi]; the scattering layer consumes
-the same branch so the transfer-matrix trigonometry composes consistently.
+The chain's convention lives here alone: ``h(k) = -t1 - t2 exp(-ik) = |h|
+exp(i phi_k)`` in units of J (:func:`h_over_j`, behind every route) and the
+band phase ``E exp(i phi_E) = h`` (:func:`band_phase`), each written once for
+a float (cmath) and an array of momenta (numpy); ``omega_k = J |h(k)|``.
+Every phase is the principal branch in (-pi, pi].
 """
 
 from __future__ import annotations
@@ -53,12 +53,14 @@ class BlochEigenvectors:
     lower: np.ndarray
 
 
-def h_over_j(k: float, params: WaveguideParams) -> complex:
-    """h(k)/J = -(1 + delta) - (1 - delta) exp(-ik), k in (-pi, pi]: the scalar
-    h of every route, in units of J where no product of hoppings overflows."""
-    if not -math.pi < k <= math.pi:
+def h_over_j(k, params: WaveguideParams):
+    """h(k)/J = -(1 + delta) - (1 - delta) exp(-ik), in units of J where no
+    product of hoppings overflows: a float k in (-pi, pi] gives a complex by
+    cmath, an array of k (-pi too) an array by the same arithmetic in numpy."""
+    scalar = isinstance(k, float)
+    if scalar and not -math.pi < k <= math.pi:
         raise ValidationError(f"k = {k} outside the Brillouin zone (-pi, pi]")
-    return -(1.0 + params.delta) - (1.0 - params.delta) * cmath.exp(-1j * k)
+    return -(1.0 + params.delta) - (1.0 - params.delta) * (cmath.exp if scalar else np.exp)(-1j * k)
 
 
 def bloch_point(k: float, params: WaveguideParams) -> BlochPoint:
@@ -85,17 +87,22 @@ def band_edges(params: WaveguideParams) -> tuple[float, float]:
     return 2.0 * abs(params.delta) * params.J, 2.0 * params.J
 
 
-def band_phase(k: float, energy: float, params: WaveguideParams) -> float:
+def band_phase(k, energy, params: WaveguideParams):
     """Generalized coupling phase phi_E with energy * exp(i phi_E) = h(k).
 
-    For positive (upper-band) energies this is the principal phase of h(k);
-    for negative (lower-band) energies it is shifted by pi.  Scattering
-    formulas written in terms of (energy, phi_E) cover both bands.  A zero
-    or non-finite energy has no phase and raises :class:`ValidationError`.
+    The principal phase of h(k) for positive (upper-band) energies, of -h(k)
+    for negative (lower-band) ones: only the sign enters, so no division
+    rounds it.  Floats give a float, an array of k an array (``energy`` an
+    array or a float).  A zero or non-finite energy has no phase and raises
+    :class:`ValidationError`.
     """
-    if energy == 0.0 or not math.isfinite(energy):
-        raise ValidationError(f"energy = {energy} has no band phase (must be finite and nonzero)")
-    return cmath.phase(bloch_point(k, params).h / energy)
+    h = h_over_j(k, params)
+    if isinstance(k, float):
+        if energy != 0.0 and math.isfinite(energy):
+            return cmath.phase(h if energy > 0.0 else -h)
+    elif np.all(np.isfinite(energy) & (energy != 0.0)):
+        return np.angle(np.where(energy > 0.0, h, -h))
+    raise ValidationError(f"energy = {energy} has no band phase (must be finite and nonzero)")
 
 
 def _band_cos(omega, params: WaveguideParams, sign):
@@ -194,13 +201,9 @@ def bloch_eigenvectors(k: float, params: WaveguideParams) -> BlochEigenvectors:
 
 
 def d_vector(k, params: WaveguideParams) -> DVector:
-    """Pseudospin components dx = -t1 - t2 cos k, dy = -t2 sin k, dz = 0,
-    at a momentum or an array of momenta (then dx and dy are arrays)."""
-    return DVector(
-        dx=-params.t1 - params.t2 * np.cos(k),
-        dy=-params.t2 * np.sin(k),
-        dz=0.0,
-    )
+    """Pseudospin components (dx, dy, dz) = J (Re h, -Im h, 0), at k or over an array of k."""
+    h = h_over_j(k, params)
+    return DVector(dx=params.J * h.real, dy=-params.J * h.imag)
 
 
 def winding_number(params: WaveguideParams, n_samples: int = 4096) -> int:
@@ -216,10 +219,9 @@ def winding_number(params: WaveguideParams, n_samples: int = 4096) -> int:
     if n_samples < 64:
         raise ValidationError(f"n_samples = {n_samples} too coarse (need >= 64)")
     k = np.linspace(-math.pi, math.pi, n_samples + 1)
-    # the loop's winding does not depend on J, and on the J = 1 chain the
-    # phases stay defined where t1 t2 would underflow or overflow
-    d = d_vector(k, WaveguideParams(delta=params.delta))
-    dz = d.dx + 1j * d.dy
+    # d = dx + i dy is J h*: its winding does not depend on J, and in units of
+    # J the phases stay defined where t1 t2 would underflow or overflow
+    dz = h_over_j(k, params).conj()
     increments = np.angle(dz[1:] / dz[:-1])
     nu_raw = float(np.sum(increments)) / (2.0 * math.pi)
     nu = round(nu_raw)
@@ -236,9 +238,5 @@ def zak_phase(params: WaveguideParams, n_samples: int = 4096) -> float:
 
 
 def dispersion_grid(k, params: WaveguideParams):
-    """Vectorized upper-band energy J sqrt(a^2 + b^2 + 2ab cos k), with
-    a = 1 + delta and b = 1 - delta, over an array of momenta; in units of
-    J, t1^2 can neither overflow nor underflow."""
-    k = np.asarray(k, dtype=float)
-    a, b = 1.0 + params.delta, 1.0 - params.delta
-    return params.J * np.sqrt(a * a + b * b + 2.0 * a * b * np.cos(k))
+    """Vectorized upper-band energy J |h(k)| over an array of momenta."""
+    return params.J * np.abs(h_over_j(np.asarray(k, dtype=float), params))

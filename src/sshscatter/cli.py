@@ -358,8 +358,8 @@ def _cmd_bands(args):
     bundle = _merge_bundle(args)
     wg = bundle.waveguide
     ks = _grid(-math.pi, math.pi, args.k_steps, "k grid")
-    omega = band_ops.dispersion_grid(ks, wg)
     d = band_ops.d_vector(ks, wg)
+    omega = np.hypot(d.dx, d.dy)
     header = ["k", "omega_upper", "omega_lower", "dx", "dy"]
     return header, [ks, omega, -omega, d.dx, d.dy], "csv"
 

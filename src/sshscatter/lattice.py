@@ -6,22 +6,15 @@ transport.  No transfer-matrix or closed-form algebra from the scattering
 module is imported (a structural test enforces this), so agreement between
 the two routes is a genuine cross-check rather than a tautology.
 
-Boundary matching writes every cell left of the coupling cell as the
-incoming plus an unknown reflected Bloch plane wave at the probe energy and
-every cell right of it as an unknown transmitted one.  Away from the
-coupling cell the equations of motion admit only those two waves, so this is
-exact at any finite chain length as long as the emitter sits in the bulk,
-and what is left to solve is a 6x6 system at the coupling cell in r, its two
-sites, t and the emitter's two levels: the rows of B of cell x1 - 1, A and B
-of cell x1, A of cell x1 + 1, e and a, written once as expressions that hold
-for one energy or an array of them.  One energy is one small solve; an
-array is solved a chunk at a time, each chunk one stacked solve and one
-pass of H over its states for the residuals.
+Boundary matching (:func:`boundary_matched_solve`) is exact at any finite
+chain length with the emitter in the bulk: Bloch waves fill every other
+cell, leaving a 6x6 system at the coupling cell per energy.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import itertools
 import math
@@ -32,7 +25,6 @@ import numpy as np
 
 from .bands import (
     band_phase,
-    d_vector,
     group_velocity,
     momentum_from_energy,
     momentum_grid,
@@ -191,11 +183,11 @@ def build_hamiltonian(
 
 
 def _coupling_cell_equations(
-    ham: LatticeHamiltonian, x1: int, omega, left, right, scale: float
+    ham: LatticeHamiltonian, x1: int, omega, left, right, scales: tuple[float, float]
 ) -> tuple:
     """The six rows of (H - omega) psi = 0 that reach an unknown, as the
     42 entries, row by row, of the augmented system [M | b] in the unknowns
-    (r, A_x1, B_x1, t, e / scale, a / scale).
+    (r, A_x1, B_x1, t, e / s_e, a / s_a), (s_e, s_a) = ``scales``.
 
     ``left`` and ``right`` are the (A, B) amplitudes of the incoming wave on
     cells x1 - 1 and x1 + 1, the reflected wave being their conjugate; every
@@ -213,14 +205,15 @@ def _coupling_cell_equations(
     g1, g2 = ham.couplings.tolist()
     (l_a, l_b), (r_a, r_b) = left, right
     coupled = bool(g1 or g2)
-    d_e, d_aa, drive_e = d_e * scale, d_aa * scale, drive * scale
-    e_row = (0.0, g1, g2, 0.0, d_e, drive_e) if coupled else (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    s_e, s_a = scales
+    d_e, d_aa, drive_e, drive_a = d_e * s_e, d_aa * s_a, drive * s_e, drive * s_a
+    e_row = (0.0, g1, g2, 0.0, d_e, drive_a) if coupled else (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
     a_row = (0.0, 0.0, 0.0, 0.0, drive_e, d_aa) if coupled and drive else (0.0,) * 5 + (1.0,)
     return (
         d_bl * l_b.conjugate() + b_l2 * l_a.conjugate(), b_l1, 0.0, 0.0, 0.0, 0.0,
         -(d_bl * l_b) - b_l2 * l_a,
-        b_l1 * l_b.conjugate(), d_a, b_c, 0.0, g1 * scale, 0.0, -b_l1 * l_b,
-        0.0, b_c, d_b, b_r1 * r_a, g2 * scale, 0.0, 0.0,
+        b_l1 * l_b.conjugate(), d_a, b_c, 0.0, g1 * s_e, 0.0, -b_l1 * l_b,
+        0.0, b_c, d_b, b_r1 * r_a, g2 * s_e, 0.0, 0.0,
         0.0, 0.0, b_r1, d_ar * r_a + b_r2 * r_b, 0.0, 0.0, 0.0,
         *e_row, 0.0,
         *a_row, 0.0,
@@ -236,12 +229,12 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
     return np.multiply.accumulate(powers, axis=1, out=powers)
 
 
-def _residuals(ham, x1, omega, powers, phase, sol, scale) -> np.ndarray:
+def _residuals(ham, x1, omega, powers, phase, sol, scales) -> np.ndarray:
     """Per energy, the largest violation of (H - omega) psi = 0 over every
     row of H but A_1 and B_N.  psi is, per cell, the incoming wave
     powers (exp(i phi_E), 1) plus r times its conjugate left of cell x1 and
     t times it right of x1, and the solved sites and levels, for the rows
-    of ``sol`` (r, A_x1, B_x1, t, e / scale, a / scale)."""
+    of ``sol`` (r, A_x1, B_x1, t, e / s_e, a / s_a), (s_e, s_a) = ``scales``."""
     count, n = powers.shape
     lo, hi = 2 * x1 - 2, 2 * x1
     psi = np.empty((count, 2 * n + 2), dtype=complex)
@@ -249,12 +242,16 @@ def _residuals(ham, x1, omega, powers, phase, sol, scale) -> np.ndarray:
     np.multiply(powers, phase[:, None], out=cells[:, :, 0])
     cells[:, :, 1] = powers
     left, right = psi[:, :lo], psi[:, hi : 2 * n]
-    left += sol[:, :1] * left.conj()
-    right *= sol[:, 3:4]
-    psi[:, lo:hi] = sol[:, 1:3]
-    psi[:, 2 * n :] = sol[:, 4:] * scale if scale != 1.0 else sol[:, 4:]
-    violation = ham.apply(psi)
-    violation -= omega[:, None] * psi
+    # a scale can take an amplitude beyond the doubles: the residual is then not
+    # finite, and numpy need not warn (np.errstate costs an unscaled solve 1-4 us)
+    scaled = scales != (1.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore") if scaled else contextlib.nullcontext():
+        left += sol[:, :1] * left.conj()
+        right *= sol[:, 3:4]
+        psi[:, lo:hi] = sol[:, 1:3]
+        psi[:, 2 * n :] = sol[:, 4:] * scales if scaled else sol[:, 4:]
+        violation = ham.apply(psi)
+        violation -= omega[:, None] * psi
     violation = np.abs(violation)
     violation[:, 0] = violation[:, 2 * n - 1] = 0.0
     return violation.max(axis=1)
@@ -296,13 +293,14 @@ def boundary_matched_solve(
     checks the Bloch waves on every free row of the chain.
 
     A float returns a :class:`ScatterSolution`; an out-of-band energy raises
-    as :func:`momentum_from_energy` does, and an exactly singular system
-    raises :class:`PotentialSingularityError`.  An array returns
-    ``(solved, t, r, residual)``: the mask of the energies that are in band
-    (as :func:`momentum_grid` gives it) and whose system is not singular,
-    and the two amplitudes and the residual at those energies only.  The
-    energies are solved ``_CHUNK`` complex entries of psi at a time: one
-    stacked ``np.linalg.solve`` and one residual pass per chunk.
+    as :func:`momentum_from_energy` does, and an exactly singular system or
+    a residual that is not finite raises :class:`PotentialSingularityError`.
+    An array returns ``(solved, t, r, residual)``: the mask of the energies
+    that are in band (as :func:`momentum_grid` gives it) with a nonsingular
+    system and a finite residual, and the two amplitudes and the residual at
+    those energies only.  The energies are solved ``_CHUNK`` complex entries
+    of psi at a time: one stacked ``np.linalg.solve`` and one residual pass
+    per chunk.
     """
     n = _cell_count(n_cells)
     if n < 8:
@@ -313,9 +311,13 @@ def boundary_matched_solve(
             f"x1 = {x1} too close to a chain end for N = {n} (need 4 <= x1 <= N-3)"
         )
     ham = build_hamiltonian(n, params, emitter, config)
-    # at g = f 2^m < 1e-100 the system solves for e 2^m and a 2^m (exact): at a
-    # pole hit e grows as 1/g, and unscaled the elimination forms g^2, which underflows
-    scale = math.ldexp(1.0, -math.frexp(emitter.g)[1]) if emitter.g < 1e-100 else 1.0
+    # unscaled, the elimination forms g^2 or Omega^2, which underflow: below g = f 2^m
+    # = 1e-100 it solves for e 2^m and a 2^m (e ~ 1/g at a pole hit), below Omega/2 =
+    # 1e-100 g for a 2^-p, 2^p <= 2^1023 near 2g/Omega (a ~ 2g/Omega at two-photon resonance)
+    g, drive = emitter.g, emitter.omega_rabi / 2.0
+    s_e = math.ldexp(1.0, min(-math.frexp(g)[1], 1023)) if g < 1e-100 else 1.0
+    tiny = 0.0 < drive < 1e-100 * g
+    scales = s_e, math.ldexp(1.0, min(math.frexp(g)[1] - math.frexp(drive)[1], 1023)) if tiny else s_e
     if isinstance(omega, numbers.Real):
         k = momentum_from_energy(omega, params, band)
         omega = float(omega)
@@ -324,7 +326,7 @@ def boundary_matched_solve(
         left, right = powers[0, x1 - 2 : x1 + 1 : 2].tolist()
         system = np.array(
             _coupling_cell_equations(
-                ham, x1, omega, (left * phase, left), (right * phase, right), scale
+                ham, x1, omega, (left * phase, left), (right * phase, right), scales
             ),
             dtype=complex,
         ).reshape(6, 7)
@@ -336,18 +338,19 @@ def boundary_matched_solve(
                 pole=omega - emitter.omega_e,
             ) from exc
         residual = _residuals(
-            ham, x1, np.array([omega]), powers, np.array([phase]), sol[None], scale
-        )
-        return ScatterSolution(complex(sol[3]), complex(sol[0]), float(residual[0]))
+            ham, x1, np.array([omega]), powers, np.array([phase]), sol[None], scales
+        ).item()
+        if not math.isfinite(residual):
+            raise PotentialSingularityError(
+                f"amplitudes beyond the doubles at omega = {omega}", pole=omega - emitter.omega_e)
+        return ScatterSolution(complex(sol[3]), complex(sol[0]), residual)
 
     omega = np.asarray(omega, dtype=float)
     if omega.ndim != 1:
         raise ValidationError(f"omega must be a float or a 1-d array, got shape {omega.shape}")
     in_band, k = momentum_grid(omega, params, band)
     omega = omega[in_band]
-    # exp(i phi_E) of bands.band_phase at every energy, h(k) = dx - i dy
-    d = d_vector(k, params)
-    phase = np.exp(1j * np.angle((d.dx - 1j * d.dy) / omega))
+    phase = np.exp(1j * band_phase(k, omega, params))
     z = np.exp(1j * k)
     solved = np.ones(len(omega), dtype=bool)
     t, r, residual = (np.empty(len(omega), dtype=dtype) for dtype in (complex, complex, float))
@@ -357,7 +360,7 @@ def boundary_matched_solve(
         powers = _powers(z[part], n)
         left, right = powers[:, x1 - 2], powers[:, x1]
         entries = _coupling_cell_equations(
-            ham, x1, omega[part], (left * phase[part], left), (right * phase[part], right), scale
+            ham, x1, omega[part], (left * phase[part], left), (right * phase[part], right), scales
         )
         system = np.empty((len(left), 42), dtype=complex)
         for j, entry in enumerate(entries):
@@ -373,7 +376,8 @@ def boundary_matched_solve(
             solved[part] = ~singular
             sol = np.linalg.solve(mat, vec)[:, :, 0]
         t[part], r[part] = sol[:, 3], sol[:, 0]
-        residual[part] = _residuals(ham, x1, omega[part], powers, phase[part], sol, scale)
+        residual[part] = _residuals(ham, x1, omega[part], powers, phase[part], sol, scales)
+    solved &= np.isfinite(residual)
     mask = in_band.copy()
     mask[in_band] = solved
     return mask, t[solved], r[solved], residual[solved]
@@ -509,7 +513,7 @@ def gaussian_packet(
     """
     n = _cell_count(n_cells)
     k, weights = packet_momentum_weights(k0, sigma_x, n)
-    phi = np.angle(-params.t1 - params.t2 * np.exp(-1j * k))
+    phi = band_phase(k, 1.0, params)  # any positive energy: the upper band
     # sum_m w_m exp(i k_m (j - center)) is an inverse DFT read at (j - center) mod N
     shift = (np.arange(1, n + 1) - center) % n
     amps = np.fft.ifft(np.stack((weights, weights * np.exp(-1j * phi))), axis=1)[:, shift]

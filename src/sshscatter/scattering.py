@@ -1,11 +1,8 @@
 """Effective potentials, transfer matrices, and closed-form t and r.
 
-Both probing bands are handled through one convention: for a photon of
-signed energy E (positive on the upper band, negative on the lower band)
-at momentum k, the band phase phi_E is defined by ``E exp(i phi_E) = h(k)``.
-On the upper band phi_E is the ordinary coupling phase; on the lower band
-it is shifted by pi.  Written this way every formula below covers both
-bands without case splits, which the finite-lattice oracle confirms.
+A photon has a signed energy E (negative on the lower band) and the band
+phase phi_E of :mod:`sshscatter.bands`, ``E exp(i phi_E) = h(k)``, so every
+formula below covers both bands without case splits.
 
 Two independent routes to the scattering amplitudes coexist on purpose:
 the closed forms (:func:`transmittance`, :func:`reflectance` and their
@@ -244,21 +241,22 @@ def _potential_terms(delta_k, delta_c, omega_rabi, g):
 def _cell_amplitudes(config, energy, h, phase, params, emitter):
     """Closed-form (t, r) at signed energy ``energy``; floats or arrays.
 
-    ``h`` is h(k)/J = -(1 + delta) - (1 - delta) exp(-ik) at the photon's
-    momentum and ``phase`` is exp(2i k x1).  Every other energy is divided
-    by J once (t1/J = 1 + delta): in units of J no product of energies
-    leaves the range of doubles, and at J = 2^n t and r equal the J = 1
-    answer exactly.  With V = 4 g^2 num/den the coupling cell's two
-    equations of motion plus the emitter's ``den c = 4 num (g1 u_A + g2 u_B)``
-    (its amplitude c kept as a third unknown) solve to
+    ``h`` is :func:`~sshscatter.bands.h_over_j` at the photon's momentum and
+    ``phase`` is exp(2i k x1).  Every other energy is divided by J once
+    (t1/J = 1 + delta): in units of J no product of energies leaves the
+    range of doubles, and at J = 2^n t and r equal the J = 1 answer exactly.
+    With V = 4 g^2 num/den the coupling cell's two equations of motion plus
+    the emitter's ``den c = 4 num (g1 u_A + g2 u_B)`` (its amplitude c kept
+    as a third unknown) solve to
 
-        D = (h - h*) t1 den + 4 num [E (g1^2 + g2^2) + 2 g1 g2 h*]
-        t = (h - h*) (t1 den - 4 num g1 g2) / D
-        r = -4 num (g1 h + g2 E)^2 exp(2i k x1) / (E D)
+        D = (h - h*) t1 den + C [E (w1^2 + w2^2) + 2 w1 w2 h*]
+        t = (h - h*) (t1 den - C w1 w2) / D
+        r = -C (w1 h + w2 E)^2 exp(2i k x1) / (E D)
 
-    where h - h* = 2i t2 sin k.  Nothing here divides by den, so one
-    expression covers finite potentials, their poles (den = 0) and every
-    coupling geometry.
+    where C = 4 num g^2, (w1, w2) = (g1, g2)/g = (alpha, 1 - alpha) and
+    h - h* = 2i t2 sin k.  Nothing here divides by den, so one expression
+    covers finite potentials, their poles (den = 0) and every coupling
+    geometry.
     """
     j = params.J
     g, delta_c, omega_rabi = emitter.g / j, emitter.delta_c / j, emitter.omega_rabi / j
@@ -277,19 +275,20 @@ def _cell_amplitudes(config, energy, h, phase, params, emitter):
         num, den = np.ldexp(num, 2 * g_exp - shift), np.ldexp(den, -shift)
         g = 1.0
     # at a pole hit (den = 0) g^2 cancels from t and r, so those points are
-    # solved at g = J, where no g^2 underflows: g + (1 - g) is exactly 1
-    g1, g2 = config.couplings(g + (1.0 - g) * (den == 0.0))
+    # solved at g = J, where no g^2 underflows: y + (1 - y) is exactly 1
+    gg = g * g
+    c = 4.0 * num * (gg + (1.0 - gg) * (den == 0.0))
+    w1, w2 = config.couplings(1.0)
     h_conj = h.conjugate()
     s = h - h_conj
-    c = 4.0 * num
-    x = (1.0 + params.delta) * den
-    d = s * x + c * (energy * (g1 * g1 + g2 * g2) + 2.0 * g1 * g2 * h_conj)
-    b = g1 * h + g2 * energy
-    # d is 0 only where both the potential's denominator and its numerator
-    # 4 g^2 num read 0, as when Omega^2 or g^2 underflows: V = 0 there
+    # V = 0 where c reads 0 (two-photon resonance, or g^2 underflows), and den
+    # may be subnormal there (Omega^2 is): d is made 0, so t = 1 and r = 0
+    x = (1.0 + params.delta) * den * (c != 0.0)
+    d = s * x + c * (energy * (w1 * w1 + w2 * w2) + 2.0 * w1 * w2 * h_conj)
+    b = w1 * h + w2 * energy
     free = d == 0.0
     # adding 0j turns an exact zero of t (a pole hit) into +0, not -0
-    t = (s * (x - c * g1 * g2) + free) / (d + free) + 0j
+    t = (s * (x - c * w1 * w2) + free) / (d + free) + 0j
     return t, -c * b * b * phase / (energy * (d + free))
 
 
@@ -354,7 +353,6 @@ def amplitude_grid(
     """
     omega = np.asarray(omega, dtype=float)
     in_band, k = momentum_grid(omega, params, band)
-    h = -(1.0 + params.delta) - (1.0 - params.delta) * np.exp(-1j * k)
     phase = np.exp(2j * k * emitter.x1)
-    t, r = _cell_amplitudes(config, omega[in_band], h, phase, params, emitter)
+    t, r = _cell_amplitudes(config, omega[in_band], h_over_j(k, params), phase, params, emitter)
     return in_band, t, r

@@ -18,7 +18,7 @@ from sshscatter import (
     winding_number,
     zak_phase,
 )
-from sshscatter.bands import dispersion_grid
+from sshscatter.bands import dispersion_grid, h_over_j
 from sshscatter.errors import (
     BandEdgeError,
     DegenerateEigenvectorError,
@@ -282,3 +282,34 @@ def test_band_phase_without_an_energy_is_named(trivial_chain, energy):
     # phase (nan, 0 or pi) silently
     with pytest.raises(ValidationError, match=r"energy = "):
         band_phase(1.3, energy, trivial_chain)
+    with pytest.raises(ValidationError, match=r"energy = "):
+        band_phase(np.array([1.3, 1.4]), np.array([1.5, energy]), trivial_chain)
+
+
+def _dense_zone():
+    """The closed zone [-pi, pi] on a dense grid, with momenta within 1e-12
+    of 0 and of +-pi."""
+    near = np.array([1e-12, 3e-13, 1e-15])
+    return np.r_[np.linspace(-math.pi, math.pi, 4001), -near, near, math.pi - near, near - math.pi]
+
+
+@pytest.mark.parametrize("band", list(Band))
+@pytest.mark.parametrize("J", [1.0, 0.125])
+@pytest.mark.parametrize("delta", [0.5, -0.5, 0.05, -0.9])
+def test_array_forms_match_the_float_forms(delta, J, band):
+    # one kernel behind both forms: an array of momenta gives what each
+    # float gives, to the rounding of numpy's own atan2 and hypot
+    wg = WaveguideParams(delta=delta, J=J)
+    k = _dense_zone()
+    h, energy = h_over_j(k, wg), band.sign * dispersion_grid(k, wg)
+    phi = band_phase(k, energy, wg)
+    for i in range(1, len(k)):
+        hf = h_over_j(float(k[i]), wg)
+        assert abs(h[i] - hf) <= 1e-15 * abs(hf)
+        assert abs(phi[i] - band_phase(float(k[i]), float(energy[i]), wg)) <= 4.5e-16
+        ef = band.sign * bloch_point(float(k[i]), wg).omega_k
+        assert abs(energy[i] - ef) <= 3e-16 * abs(ef)
+    # the float form refuses k = -pi; the array takes it, and h(-pi) = h(pi)*
+    # where sin pi rounds to 1.2e-16
+    assert k[0] == -math.pi
+    assert h[0] == h_over_j(math.pi, wg).conjugate()

@@ -453,20 +453,64 @@ class TestArraySolve:
         for a, b in zip(whole, parts):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_singular_energy_is_masked(self, trivial_chain, variant):
-        # at Omega = 1e-200 and two-photon resonance omega = omega_a, the
-        # elimination leaves a pivot of order Omega^2, which underflows to an
-        # exact 0: the scalar call raises, an array masks that energy alone
-        config = CouplingConfig(variant, 0.35)
-        emitter = EmitterParams(omega_e=1.5, omega_rabi=1e-200, g=0.2, x1=10)
-        with pytest.raises(PotentialSingularityError, match="singular"):
-            boundary_matched_solve(1.5, 32, trivial_chain, emitter, config)
+    @staticmethod
+    def _masked_alone(chain, emitter, config, cause):
+        """The scalar call at omega = 1.5 raises naming ``cause``; an array
+        masks that energy (twice) and the out-of-band 2.5 alone."""
+        with pytest.raises(PotentialSingularityError, match=cause):
+            boundary_matched_solve(1.5, 32, chain, emitter, config)
         omega = np.array([1.4, 1.5, 2.5, 1.6, 1.5])
-        solved, t, r, residual = boundary_matched_solve(omega, 32, trivial_chain, emitter, config)
+        solved, t, r, residual = boundary_matched_solve(omega, 32, chain, emitter, config)
         assert np.flatnonzero(~solved).tolist() == [1, 2, 4]
         for w, t_num in zip(omega[solved], t):
-            assert t_num == boundary_matched_solve(w, 32, trivial_chain, emitter, config).t_num
+            assert t_num == boundary_matched_solve(w, 32, chain, emitter, config).t_num
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_singular_energy_is_masked(self, trivial_chain, variant):
+        # at the smallest coupling and the pole hit omega = omega_e, e scaled
+        # by the largest power of two (2^1023) still leaves g^2 in the
+        # elimination below the subnormals: an exact 0 pivot
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=5e-324, x1=10)
+        self._masked_alone(trivial_chain, emitter, CouplingConfig(variant, 0.35), "singular")
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_solution_beyond_the_doubles_is_masked(self, trivial_chain, variant):
+        # at a subnormal drive and two-photon resonance omega = omega_a, a
+        # grows as 2g/Omega = 4e309: the scalar call returned nan, and an
+        # array marked that energy solved
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=1e-310, g=0.2, x1=10)
+        self._masked_alone(trivial_chain, emitter, CouplingConfig(variant, 0.35), "doubles")
+
+    @pytest.mark.parametrize("omega_rabi", [1e-160, 1e-200, 1e-300])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_tiny_drive_at_two_photon_resonance_solves(self, trivial_chain, variant, omega_rabi):
+        # at omega = omega_a the emitter's level a grows as g/(Omega/2), and
+        # unscaled the elimination formed Omega^2: at 1e-160 the solve
+        # returned nan (and an array marked it solved), from 1e-200 down
+        # Omega^2 was 0 and the system singular.  The drive makes the emitter
+        # transparent there
+        config = CouplingConfig(variant)
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=omega_rabi, g=0.2, x1=10)
+        t_closed = transmittance(config, 1.5, trivial_chain, emitter)
+        assert t_closed == 1.0
+        sol = boundary_matched_solve(1.5, 32, trivial_chain, emitter, config)
+        assert abs(sol.t_num - t_closed) < 1e-10 and sol.residual < 1e-12
+        omega = np.array([1.4, 1.5, 1.6])
+        solved, t, r, residual = boundary_matched_solve(omega, 32, trivial_chain, emitter, config)
+        assert solved.all() and np.max(residual) < 1e-12
+        assert np.max(np.abs(t - amplitude_grid(config, omega, trivial_chain, emitter)[1])) < 1e-10
+        assert abs(t[1] - sol.t_num) < 1e-15
+
+    def test_fano_elements_match_the_scalar_call(self):
+        # every energy of the README's Fano line on delta = -0.5: the array
+        # solve shares h(k) and phi_E with the scalar call, and differs only
+        # by numpy's arccos and atan2 against the C library's
+        wg, emitter, config, omega = _RECIPES["fano-0.5"]
+        solved, t, r, _ = boundary_matched_solve(omega, 32, wg, emitter, config)
+        assert solved.all()
+        scalar = [boundary_matched_solve(w, 32, wg, emitter, config) for w in omega.tolist()]
+        assert np.max(np.abs(t - [sol.t_num for sol in scalar])) <= 1.5e-15
+        assert np.max(np.abs(r - [sol.r_num for sol in scalar])) <= 3e-15
 
     @pytest.mark.parametrize("g", [1e-160, 1e-200, 1e-300])
     @pytest.mark.parametrize("variant", list(Variant))

@@ -32,6 +32,7 @@ from sshscatter.errors import (
     PotentialSingularityError,
     ValidationError,
 )
+from sshscatter.bands import h_over_j
 from sshscatter.scattering import TransferMatrix, ab_transfer_factors
 
 
@@ -390,6 +391,19 @@ class TestTransmittance:
                                                      emitter))
             assert pipe.t_left == 1.0 and pipe.r_left == 0.0
 
+    @pytest.mark.parametrize("omega_rabi", [1e-155, 1e-160])
+    def test_grid_transparency_survives_a_subnormal_drive_square(self, trivial_chain, omega_rabi):
+        # Omega^2 is subnormal, and so was the denominator kept at dk = -dc:
+        # numpy's complex division by it overflowed, and a sweep printed
+        # T = inf, R = nan there.  V = 0 reads t = 1, r = 0 on a grid too
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=omega_rabi, g=0.2, x1=5)
+        for variant in Variant:
+            config = CouplingConfig(variant)
+            in_band, t, r = amplitude_grid(config, [1.4, 1.5, 1.6], trivial_chain, emitter)
+            assert in_band.all() and t[1] == 1.0 and r[1] == 0.0
+            for omega, t_grid in zip((1.4, 1.6), t[::2]):
+                assert abs(t_grid - transmittance(config, omega, trivial_chain, emitter)) < 1e-15
+
     @pytest.mark.parametrize("omega_rabi", [0.0, 0.2])
     def test_decoupled_emitter_is_transparent(self, trivial_chain, omega_rabi):
         # g = 0 is a valid input; the emitter's poles must not survive it
@@ -686,3 +700,24 @@ class TestStrongCouplingAndDrive:
             np.testing.assert_allclose(t[[0, 2]], t_ref[[0, 2]], rtol=0, atol=1e-12)
             if variant is not Variant.AB:
                 assert np.abs(t[[0, 2]]).max() < 1e-12
+
+
+@pytest.mark.parametrize("J", [1.0, 0.37])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_float_inputs_give_python_scalars(variant, J):
+    # the scalar route takes no numpy call, which would return numpy scalars
+    # and slow every scalar query: floats in, Python complex and float out,
+    # at a finite potential and at a pole hit (+-Omega/2)
+    wg = WaveguideParams(delta=0.5, J=J)
+    config = CouplingConfig(variant, 0.35)
+    emitter = EmitterParams(omega_e=1.5 * J, omega_rabi=0.2 * J, g=0.2 * J, x1=5)
+    for band, omega in ((Band.UPPER, 1.62 * J), (Band.UPPER, 1.6 * J), (Band.LOWER, -1.62 * J)):
+        k = momentum_from_energy(omega, wg, band)
+        assert type(k) is float
+        assert type(h_over_j(k, wg)) is complex
+        assert type(band_phase(k, omega, wg)) is float
+        assert type(transmittance(config, omega, wg, emitter, band)) is complex
+        assert type(reflectance(config, omega, wg, emitter, band)) is complex
+        if omega != 1.6 * J:
+            u = transfer_matrix(config, k, wg, emitter, band)
+            assert {type(u.t11), type(u.t12), type(u.t21), type(u.t22)} == {complex}
