@@ -332,7 +332,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_bundle(args):
-    """Defaults <- parameter file <- explicit flags, then validate."""
+    """Defaults <- parameter file <- explicit flags, then validate.
+
+    A command without emitter flags (``bands``, ``winding``) reads no
+    emitter; an emitter energy it is not given defaults to its value at
+    J = 1 times J, so that the bundle validates at any J.
+    """
     values = {}
     if args.params is not None:
         values.update(load_param_dict(args.params))
@@ -340,6 +345,13 @@ def _merge_bundle(args):
         val = getattr(args, key, None)
         if val is not None:
             values[key] = val
+    if not hasattr(args, "g"):
+        try:
+            j = float(values.get("J", 1.0))
+        except (TypeError, ValueError):
+            j = 1.0  # bundle_from_dict names the bad J
+        for key in ("omega_e", "g"):
+            values.setdefault(key, _SCHEMA[key][1] * j)
     bundle = bundle_from_dict(values)
     for note in bundle.notes:
         print(f"note: {note}", file=sys.stderr)

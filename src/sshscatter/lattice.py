@@ -14,7 +14,6 @@ cell, leaving a 6x6 system at the coupling cell per energy.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import itertools
 import math
@@ -37,7 +36,7 @@ from .errors import (
     PotentialSingularityError,
     ValidationError,
 )
-from .params import Band, CouplingConfig, EmitterParams, WaveguideParams
+from .params import Band, CouplingConfig, EmitterParams, WaveguideParams, in_units_of_j
 
 #: population threshold below which the emitter counts as empty
 EMITTER_EMPTY = 1e-6
@@ -165,29 +164,34 @@ def build_hamiltonian(
     config: CouplingConfig,
 ) -> LatticeHamiltonian:
     """Assemble the (2N+2)-dimensional single-excitation Hamiltonian."""
+    return _assemble(n_cells, emitter.x1, (params.t1, params.t2),
+                     (emitter.omega_e, emitter.omega_a), emitter.omega_rabi,
+                     config.couplings(emitter.g))
+
+
+def _assemble(n_cells, x1, hoppings, levels, omega_rabi, couplings) -> LatticeHamiltonian:
+    """The Hamiltonian from its entries: the hoppings (t1, t2), the levels
+    of e and a, the drive and the couplings (g1, g2) of e to cell x1."""
     n = _cell_count(n_cells)
-    x1 = emitter.x1
     if not 1 <= x1 <= n:
         raise PlacementError(f"coupling cell x1 = {x1} outside chain of {n} cells")
     onsite = np.zeros(2 * n + 2)
-    onsite[2 * n :] = emitter.omega_e, emitter.omega_a
+    onsite[2 * n :] = levels
     bonds = np.zeros(2 * n + 1)
-    bonds[0 : 2 * n : 2] = -params.t1
-    bonds[1 : 2 * n - 1 : 2] = -params.t2
-    bonds[2 * n] = emitter.omega_rabi / 2.0
+    bonds[0 : 2 * n : 2] = -hoppings[0]
+    bonds[1 : 2 * n - 1 : 2] = -hoppings[1]
+    bonds[2 * n] = omega_rabi / 2.0
     sites = np.array([2 * x1 - 2, 2 * x1 - 1])
-    couplings = np.array(config.couplings(emitter.g))
+    couplings = np.array(couplings)
     for field in (onsite, bonds, sites, couplings):
         field.setflags(write=False)
     return LatticeHamiltonian(onsite, bonds, sites, couplings)
 
 
-def _coupling_cell_equations(
-    ham: LatticeHamiltonian, x1: int, omega, left, right, scales: tuple[float, float]
-) -> tuple:
+def _coupling_cell_equations(ham: LatticeHamiltonian, x1: int, omega, left, right) -> tuple:
     """The six rows of (H - omega) psi = 0 that reach an unknown, as the
     42 entries, row by row, of the augmented system [M | b] in the unknowns
-    (r, A_x1, B_x1, t, e / s_e, a / s_a), (s_e, s_a) = ``scales``.
+    (r, A_x1, B_x1, t, e, a).
 
     ``left`` and ``right`` are the (A, B) amplitudes of the incoming wave on
     cells x1 - 1 and x1 + 1, the reflected wave being their conjugate; every
@@ -205,15 +209,13 @@ def _coupling_cell_equations(
     g1, g2 = ham.couplings.tolist()
     (l_a, l_b), (r_a, r_b) = left, right
     coupled = bool(g1 or g2)
-    s_e, s_a = scales
-    d_e, d_aa, drive_e, drive_a = d_e * s_e, d_aa * s_a, drive * s_e, drive * s_a
-    e_row = (0.0, g1, g2, 0.0, d_e, drive_a) if coupled else (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-    a_row = (0.0, 0.0, 0.0, 0.0, drive_e, d_aa) if coupled and drive else (0.0,) * 5 + (1.0,)
+    e_row = (0.0, g1, g2, 0.0, d_e, drive) if coupled else (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    a_row = (0.0, 0.0, 0.0, 0.0, drive, d_aa) if coupled and drive else (0.0,) * 5 + (1.0,)
     return (
         d_bl * l_b.conjugate() + b_l2 * l_a.conjugate(), b_l1, 0.0, 0.0, 0.0, 0.0,
         -(d_bl * l_b) - b_l2 * l_a,
-        b_l1 * l_b.conjugate(), d_a, b_c, 0.0, g1 * s_e, 0.0, -b_l1 * l_b,
-        0.0, b_c, d_b, b_r1 * r_a, g2 * s_e, 0.0, 0.0,
+        b_l1 * l_b.conjugate(), d_a, b_c, 0.0, g1, 0.0, -b_l1 * l_b,
+        0.0, b_c, d_b, b_r1 * r_a, g2, 0.0, 0.0,
         0.0, 0.0, b_r1, d_ar * r_a + b_r2 * r_b, 0.0, 0.0, 0.0,
         *e_row, 0.0,
         *a_row, 0.0,
@@ -229,12 +231,12 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
     return np.multiply.accumulate(powers, axis=1, out=powers)
 
 
-def _residuals(ham, x1, omega, powers, phase, sol, scales) -> np.ndarray:
+def _residuals(ham, x1, omega, powers, phase, sol) -> np.ndarray:
     """Per energy, the largest violation of (H - omega) psi = 0 over every
     row of H but A_1 and B_N.  psi is, per cell, the incoming wave
     powers (exp(i phi_E), 1) plus r times its conjugate left of cell x1 and
     t times it right of x1, and the solved sites and levels, for the rows
-    of ``sol`` (r, A_x1, B_x1, t, e / s_e, a / s_a), (s_e, s_a) = ``scales``."""
+    of ``sol`` (r, A_x1, B_x1, t, e, a)."""
     count, n = powers.shape
     lo, hi = 2 * x1 - 2, 2 * x1
     psi = np.empty((count, 2 * n + 2), dtype=complex)
@@ -242,16 +244,12 @@ def _residuals(ham, x1, omega, powers, phase, sol, scales) -> np.ndarray:
     np.multiply(powers, phase[:, None], out=cells[:, :, 0])
     cells[:, :, 1] = powers
     left, right = psi[:, :lo], psi[:, hi : 2 * n]
-    # a scale can take an amplitude beyond the doubles: the residual is then not
-    # finite, and numpy need not warn (np.errstate costs an unscaled solve 1-4 us)
-    scaled = scales != (1.0, 1.0)
-    with np.errstate(over="ignore", invalid="ignore") if scaled else contextlib.nullcontext():
-        left += sol[:, :1] * left.conj()
-        right *= sol[:, 3:4]
-        psi[:, lo:hi] = sol[:, 1:3]
-        psi[:, 2 * n :] = sol[:, 4:] * scales if scaled else sol[:, 4:]
-        violation = ham.apply(psi)
-        violation -= omega[:, None] * psi
+    left += sol[:, :1] * left.conj()
+    right *= sol[:, 3:4]
+    psi[:, lo:hi] = sol[:, 1:3]
+    psi[:, 2 * n :] = sol[:, 4:]
+    violation = ham.apply(psi)
+    violation -= omega[:, None] * psi
     violation = np.abs(violation)
     violation[:, 0] = violation[:, 2 * n - 1] = 0.0
     return violation.max(axis=1)
@@ -288,9 +286,12 @@ def boundary_matched_solve(
     the full system, so both are singular at the same energies.  An emitter
     level with no path to the chain (e without couplings, a without the
     drive or without e) is pinned to psi = 0, the solution; its row would
-    be empty at its own energy.  The residual is the largest violation of
-    (H - omega) psi = 0 over every row of H but A_1 and B_N, so it also
-    checks the Bloch waves on every free row of the chain.
+    be empty at its own energy.  The system is H/J at omega/J, its entries
+    from :func:`~sshscatter.params.in_units_of_j` (exact at J = 2^n, and no
+    product of them leaves the normal doubles).  The residual is J times
+    the largest violation of (H/J - omega/J) psi = 0 over every row of H but
+    A_1 and B_N, so it also checks the Bloch waves on every free row of the
+    chain.
 
     A float returns a :class:`ScatterSolution`; an out-of-band energy raises
     as :func:`momentum_from_energy` does, and an exactly singular system or
@@ -310,14 +311,10 @@ def boundary_matched_solve(
         raise PlacementError(
             f"x1 = {x1} too close to a chain end for N = {n} (need 4 <= x1 <= N-3)"
         )
-    ham = build_hamiltonian(n, params, emitter, config)
-    # unscaled, the elimination forms g^2 or Omega^2, which underflow: below g = f 2^m
-    # = 1e-100 it solves for e 2^m and a 2^m (e ~ 1/g at a pole hit), below Omega/2 =
-    # 1e-100 g for a 2^-p, 2^p <= 2^1023 near 2g/Omega (a ~ 2g/Omega at two-photon resonance)
-    g, drive = emitter.g, emitter.omega_rabi / 2.0
-    s_e = math.ldexp(1.0, min(-math.frexp(g)[1], 1023)) if g < 1e-100 else 1.0
-    tiny = 0.0 < drive < 1e-100 * g
-    scales = s_e, math.ldexp(1.0, min(math.frexp(g)[1] - math.frexp(drive)[1], 1023)) if tiny else s_e
+    omega_e, delta_c, omega_rabi, g = in_units_of_j(params, emitter)
+    j = params.J
+    ham = _assemble(n, x1, (1.0 + params.delta, 1.0 - params.delta),
+                    (omega_e, omega_e - delta_c), omega_rabi, config.couplings(g))
     if isinstance(omega, numbers.Real):
         k = momentum_from_energy(omega, params, band)
         omega = float(omega)
@@ -326,7 +323,7 @@ def boundary_matched_solve(
         left, right = powers[0, x1 - 2 : x1 + 1 : 2].tolist()
         system = np.array(
             _coupling_cell_equations(
-                ham, x1, omega, (left * phase, left), (right * phase, right), scales
+                ham, x1, omega / j, (left * phase, left), (right * phase, right)
             ),
             dtype=complex,
         ).reshape(6, 7)
@@ -338,12 +335,12 @@ def boundary_matched_solve(
                 pole=omega - emitter.omega_e,
             ) from exc
         residual = _residuals(
-            ham, x1, np.array([omega]), powers, np.array([phase]), sol[None], scales
+            ham, x1, np.array([omega / j]), powers, np.array([phase]), sol[None]
         ).item()
         if not math.isfinite(residual):
             raise PotentialSingularityError(
                 f"amplitudes beyond the doubles at omega = {omega}", pole=omega - emitter.omega_e)
-        return ScatterSolution(complex(sol[3]), complex(sol[0]), residual)
+        return ScatterSolution(complex(sol[3]), complex(sol[0]), residual * j)
 
     omega = np.asarray(omega, dtype=float)
     if omega.ndim != 1:
@@ -351,6 +348,7 @@ def boundary_matched_solve(
     in_band, k = momentum_grid(omega, params, band)
     omega = omega[in_band]
     phase = np.exp(1j * band_phase(k, omega, params))
+    unit = omega / j
     z = np.exp(1j * k)
     solved = np.ones(len(omega), dtype=bool)
     t, r, residual = (np.empty(len(omega), dtype=dtype) for dtype in (complex, complex, float))
@@ -360,11 +358,11 @@ def boundary_matched_solve(
         powers = _powers(z[part], n)
         left, right = powers[:, x1 - 2], powers[:, x1]
         entries = _coupling_cell_equations(
-            ham, x1, omega[part], (left * phase[part], left), (right * phase[part], right), scales
+            ham, x1, unit[part], (left * phase[part], left), (right * phase[part], right)
         )
         system = np.empty((len(left), 42), dtype=complex)
-        for j, entry in enumerate(entries):
-            system[:, j] = entry
+        for col, entry in enumerate(entries):
+            system[:, col] = entry
         system = system.reshape(-1, 6, 7)
         mat, vec = system[:, :, :6], system[:, :, 6:]
         try:
@@ -376,11 +374,11 @@ def boundary_matched_solve(
             solved[part] = ~singular
             sol = np.linalg.solve(mat, vec)[:, :, 0]
         t[part], r[part] = sol[:, 3], sol[:, 0]
-        residual[part] = _residuals(ham, x1, omega[part], powers, phase[part], sol, scales)
+        residual[part] = _residuals(ham, x1, unit[part], powers, phase[part], sol)
     solved &= np.isfinite(residual)
     mask = in_band.copy()
     mask[in_band] = solved
-    return mask, t[solved], r[solved], residual[solved]
+    return mask, t[solved], r[solved], residual[solved] * j
 
 
 @functools.lru_cache(maxsize=32)

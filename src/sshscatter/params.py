@@ -14,6 +14,13 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 
+#: A nonzero omega_e, delta_c, omega_rabi or g is accepted only where its
+#: modulus in units of J lies in [RATIO_MIN, RATIO_MAX].  Every regime of the
+#: model lies far inside; within it no square or product of two of these
+#: ratios leaves the normal doubles, so no route needs a scale branch.
+RATIO_MIN, RATIO_MAX = 2.0**-100, 2.0**100
+_RATIO_FIELDS = ("omega_e", "delta_c", "omega_rabi", "g")
+
 
 class Band(enum.Enum):
     """Selects the positive- or negative-energy branch of the dispersion."""
@@ -107,6 +114,42 @@ class ModelParams:
     notes: tuple[str, ...] = ()
 
 
+def in_units_of_j(
+    params: WaveguideParams, emitter: EmitterParams
+) -> tuple[float, float, float, float]:
+    """(omega_e, delta_c, omega_rabi, g) / J, the one place that decides the
+    domain of every route that divides by J.
+
+    Raises :class:`ValidationError` naming the field where J is not a
+    positive finite double, or where a nonzero field's ratio to J lies
+    outside [RATIO_MIN, RATIO_MAX] (a NaN or infinite one too).  Exact 0 is
+    always accepted.  Plain float arithmetic only: every scalar query pays
+    this check.
+    """
+    j = params.J
+    if not 0.0 < j < math.inf:
+        raise ValidationError(f"J out of range: {j} (must be finite and > 0)")
+    ratios = omega_e, delta_c, omega_rabi, g = (
+        emitter.omega_e / j, emitter.delta_c / j, emitter.omega_rabi / j, emitter.g / j
+    )
+    lo, hi = RATIO_MIN, RATIO_MAX
+    # one chained test in the common case; the loop only names the field
+    if (
+        (lo <= abs(omega_e) <= hi or not emitter.omega_e)
+        and (lo <= abs(delta_c) <= hi or not emitter.delta_c)
+        and (lo <= omega_rabi <= hi or not emitter.omega_rabi)
+        and (lo <= g <= hi or not emitter.g)
+    ):
+        return ratios
+    for name, ratio in zip(_RATIO_FIELDS, ratios):
+        if not lo <= abs(ratio) <= hi and getattr(emitter, name):
+            raise ValidationError(
+                f"{name} out of range: {getattr(emitter, name)} ({name}/J = {ratio!r} must be"
+                f" 0 or within [2^{math.log2(lo):.0f}, 2^{math.log2(hi):.0f}])"
+            )
+    return ratios
+
+
 def validate(
     params: WaveguideParams,
     emitter: EmitterParams,
@@ -115,7 +158,8 @@ def validate(
     """Check every invariant and return the normalized bundle.
 
     Raises :class:`ValidationError` naming the offending field (a NaN or
-    infinite energy too).
+    infinite energy too, and an energy outside the domain of
+    :func:`in_units_of_j`).
     """
     for name, value in (("J", params.J), ("omega_e", emitter.omega_e),
                         ("delta_c", emitter.delta_c), ("omega_rabi", emitter.omega_rabi),
@@ -130,6 +174,7 @@ def validate(
         raise ValidationError(f"omega_rabi out of range: {emitter.omega_rabi} (must be >= 0)")
     if emitter.g < 0.0:
         raise ValidationError(f"g out of range: {emitter.g} (must be >= 0)")
+    in_units_of_j(params, emitter)
     if isinstance(emitter.x1, bool) or emitter.x1 != int(emitter.x1):
         raise ValidationError(f"x1 must be an integer cell index, got {emitter.x1!r}")
     if not 0.0 <= config.alpha <= 1.0:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bands import h_over_j, momentum_from_energy, momentum_grid, require_dispersive
 from .errors import DegenerateDenominatorError, PotentialSingularityError
-from .params import Band, CouplingConfig, EmitterParams, WaveguideParams
+from .params import Band, CouplingConfig, EmitterParams, WaveguideParams, in_units_of_j
 
 # Threshold in units of J^2 (both amplitude routes divide by J first) below
 # which the potential denominator counts as a pole hit; see _potential_terms.
@@ -82,7 +82,7 @@ def detuning_response(delta_k: float, delta_c: float, omega_rabi: float) -> floa
     resonance however small Omega is.  Raises :class:`PotentialSingularityError`
     at a pole hit, carrying the nearest pole detuning.
     """
-    num, den = _potential_terms(delta_k, delta_c, omega_rabi, 1.0)
+    num, den = _potential_terms(delta_k, delta_k + delta_c, omega_rabi, 1.0)
     if den == 0.0 and num != 0.0:
         # of the roots (-dc +- sqrt(dc^2 + Omega^2))/2, the one on delta_k's side
         root = math.sqrt(delta_c * delta_c + omega_rabi * omega_rabi)
@@ -166,23 +166,28 @@ def transfer_matrix(
     alpha = 1 and alpha = 0 cases: at alpha = 1 the B step is exactly the
     identity, at alpha = 0 the A step is, and the remaining step equals the
     single-site matrix because t2 sin(k + phi_E) = -t1 sin phi_E.  Energies
-    are divided by J once.  Raises :class:`BandEdgeError` on the flat-band
-    chain (delta = +-1) and where |cos k| = 1, raises
-    :class:`PotentialSingularityError` at potential poles and
-    :class:`DegenerateDenominatorError` when t1 equals the cross potential.
+    are taken in units of J from :func:`~sshscatter.params.in_units_of_j`.
+    Unlike the closed forms, which read the detuning from the metastable
+    level as omega/J less its rounded level omega_e/J - delta_c/J, this
+    route still forms it as dk + delta_c, so where those cancel to rounding
+    the two can differ.  Raises
+    :class:`BandEdgeError` on the flat-band chain (delta = +-1) and where
+    |cos k| = 1, raises :class:`PotentialSingularityError` at potential
+    poles and :class:`DegenerateDenominatorError` when t1 equals the cross
+    potential.
     """
+    omega_e, delta_c, omega_rabi, g = in_units_of_j(params, emitter)
     h = h_over_j(k, params)
     require_dispersive(params, k)
-    j, energy = params.J, band.sign * abs(h)
+    energy = band.sign * abs(h)
     phi_e = cmath.phase(h / energy)
-    dk = energy - emitter.omega_e / j
+    dk = energy - omega_e
     try:
-        pot = effective_potential(dk, emitter.delta_c / j, emitter.omega_rabi / j,
-                                  emitter.g / j, config.alpha)
+        pot = effective_potential(dk, delta_c, omega_rabi, g, config.alpha)
     except PotentialSingularityError as exc:  # its pole, back from units of J
-        pole = exc.pole * j
+        pole = exc.pole * params.J
         raise PotentialSingularityError(
-            f"potential pole at delta_k = {pole} (got {dk * j})", pole=pole) from None
+            f"potential pole at delta_k = {pole} (got {dk * params.J})", pole=pole) from None
     a, b = ab_transfer_factors(k, phi_e, pot, emitter.x1, params)
     return TransferMatrix(
         b.t11 * a.t11 + b.t12 * a.t21, b.t11 * a.t12 + b.t12 * a.t22,
@@ -214,40 +219,36 @@ def interference_factor(phi_e: float, alpha: float) -> complex:
     return 2.0 * alpha * (1.0 - alpha) * (cmath.exp(-1j * phi_e) - 1.0) + 1.0
 
 
-def _potential_terms(delta_k, delta_c, omega_rabi, g):
+def _potential_terms(delta_k, two_photon, omega_rabi, g):
     """(num, den) with V = 4 g^2 num / den, all in units of J; floats or
-    arrays of ``delta_k``.  ``den`` snaps to 0 at an exact pole hit,
+    arrays of ``delta_k`` and ``two_photon``, the detuning from the
+    metastable level (dk + dc).  ``den`` snaps to 0 at an exact pole hit,
     ``|den| < _POLE_EPS``, unless ``num`` vanishes too (V = 0 there).
     """
     if g == 0.0:
         # a decoupled emitter has no potential, and so no pole either
         return 0.0, 1.0
-    eps = _POLE_EPS
     if omega_rabi == 0.0:
         # the metastable level decouples: V = g^2 / delta_k
         num, den = 0.25, delta_k
-    elif omega_rabi > 1.0:
-        # V is their ratio: above Omega = J, num and den (and the pole test)
-        # are divided by Omega^2, which would overflow above about 1e154 J
-        num = (delta_k + delta_c) / omega_rabi / omega_rabi
-        den = 4.0 * delta_k * num - 1.0
-        eps = eps / omega_rabi / omega_rabi
     else:
-        num = delta_k + delta_c
+        num = two_photon
         den = 4.0 * delta_k * num - omega_rabi * omega_rabi
-    return num, den * ((abs(den) >= eps) | (num == 0.0))
+    return num, den * ((abs(den) >= _POLE_EPS) | (num == 0.0))
 
 
 def _cell_amplitudes(config, energy, h, phase, params, emitter):
     """Closed-form (t, r) at signed energy ``energy``; floats or arrays.
 
     ``h`` is :func:`~sshscatter.bands.h_over_j` at the photon's momentum and
-    ``phase`` is exp(2i k x1).  Every other energy is divided by J once
-    (t1/J = 1 + delta): in units of J no product of energies leaves the
-    range of doubles, and at J = 2^n t and r equal the J = 1 answer exactly.
-    With V = 4 g^2 num/den the coupling cell's two equations of motion plus
-    the emitter's ``den c = 4 num (g1 u_A + g2 u_B)`` (its amplitude c kept
-    as a third unknown) solve to
+    ``phase`` is exp(2i k x1).  Every other energy is taken in units of J
+    from :func:`~sshscatter.params.in_units_of_j` (t1/J = 1 + delta), and
+    the detuning from the metastable level is omega/J less its level
+    omega_e/J - delta_c/J, rounded once, as the lattice oracle holds it
+    (at J = 2^n that level is omega_a/J exactly).  With V = 4 g^2 num/den
+    the coupling cell's two equations of motion plus the emitter's
+    ``den c = 4 num (g1 u_A + g2 u_B)`` (its amplitude c kept as a third
+    unknown) solve to
 
         D = (h - h*) t1 den + C [E (w1^2 + w2^2) + 2 w1 w2 h*]
         t = (h - h*) (t1 den - C w1 w2) / D
@@ -256,40 +257,25 @@ def _cell_amplitudes(config, energy, h, phase, params, emitter):
     where C = 4 num g^2, (w1, w2) = (g1, g2)/g = (alpha, 1 - alpha) and
     h - h* = 2i t2 sin k.  Nothing here divides by den, so one expression
     covers finite potentials, their poles (den = 0) and every coupling
-    geometry.
+    geometry.  Inside the domain of ``in_units_of_j`` D is never 0 in band:
+    where C = 0, den is -(Omega/J)^2 or 1, and where den = 0, D is C E for
+    one coupled site and has the imaginary part 2 C w1 w2 Im h* for two.
     """
-    j = params.J
-    g, delta_c, omega_rabi = emitter.g / j, emitter.delta_c / j, emitter.omega_rabi / j
-    num, den = _potential_terms((energy - emitter.omega_e) / j, delta_c, omega_rabi, g)
-    energy = energy / j
-    if 1.0 < g < math.inf:
-        # t and r depend on g only through the ratio num g^2 : den.  Above
-        # g = J that pair is scaled by the power of two that brings its
-        # larger member to order 1 and solved at g = J, so that no g^2 times
-        # an energy overflows (above about 1e153 J it would) and d is never
-        # subnormal (which would overflow the complex division)
-        mant, g_exp = math.frexp(g)
-        num = num * mant * mant
-        den_exp = np.frexp(den)[1]
-        shift = np.maximum(np.where(num == 0.0, den_exp, np.frexp(num)[1] + 2 * g_exp), den_exp)
-        num, den = np.ldexp(num, 2 * g_exp - shift), np.ldexp(den, -shift)
-        g = 1.0
-    # at a pole hit (den = 0) g^2 cancels from t and r, so those points are
-    # solved at g = J, where no g^2 underflows: y + (1 - y) is exactly 1
-    gg = g * g
-    c = 4.0 * num * (gg + (1.0 - gg) * (den == 0.0))
+    omega_e, delta_c, omega_rabi, g = in_units_of_j(params, emitter)
+    energy = energy / params.J
+    # dk and the detuning from the metastable level, against the levels as
+    # the lattice holds them: omega_e/J and omega_e/J - delta_c/J
+    num, den = _potential_terms(energy - omega_e, energy - (omega_e - delta_c), omega_rabi, g)
+    c = 4.0 * num * (g * g)
     w1, w2 = config.couplings(1.0)
     h_conj = h.conjugate()
     s = h - h_conj
-    # V = 0 where c reads 0 (two-photon resonance, or g^2 underflows), and den
-    # may be subnormal there (Omega^2 is): d is made 0, so t = 1 and r = 0
-    x = (1.0 + params.delta) * den * (c != 0.0)
+    x = (1.0 + params.delta) * den
     d = s * x + c * (energy * (w1 * w1 + w2 * w2) + 2.0 * w1 * w2 * h_conj)
     b = w1 * h + w2 * energy
-    free = d == 0.0
     # adding 0j turns an exact zero of t (a pole hit) into +0, not -0
-    t = (s * (x - c * w1 * w2) + free) / (d + free) + 0j
-    return t, -c * b * b * phase / (energy * (d + free))
+    t = s * (x - c * w1 * w2) / d + 0j
+    return t, -c * b * b * phase / (energy * d)
 
 
 def _point_amplitudes(config, omega, params, emitter, band):

@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedFeatureError,
     ValidationError,
 )
-from .params import Band, CouplingConfig, EmitterParams, WaveguideParams
+from .params import Band, CouplingConfig, EmitterParams, WaveguideParams, in_units_of_j
 from .scattering import amplitude_grid, interference_factor
 
 # Deterministic regime boundaries on the control-field ratio.  The physics
@@ -78,52 +78,19 @@ class LineshapeFeature:
     asymmetry: float
 
 
-def _ldexp(x: float, n: int) -> float:
-    """x 2^n, +-inf where that overflows."""
-    try:
-        return math.ldexp(x, n)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
-def _unscale(x: float, n: int, params: WaveguideParams) -> float:
-    """x 2^n J: from units of J, at the scale 2^-n, back to absolute units.
-
-    Where x 2^n is a double it is rounded in units of J, then times J, so
-    at J = 2^m the answer is the J = 1 answer times J exactly, subnormals
-    too; where it is not, J's mantissa joins x first.  +-inf where the
-    answer overflows.
-    """
-    try:
-        return math.ldexp(x, n) * params.J
-    except OverflowError:
-        j_mant, j_exp = math.frexp(params.J)
-        return _ldexp(x * j_mant, n + j_exp)
-
-
-def _scaled(z: complex, n: int) -> complex:
-    """z 2^n, part by part (a complex times a float may flip a -0)."""
-    return complex(math.ldexp(z.real, n), math.ldexp(z.imag, n))
-
-
 def _pole_terms(config, params, emitter, k):
-    """(s, n, w, p): in units of J the pole strength is s 2^n and half the
-    drive, Omega/2J, is w 2^p, so that neither leaves the range of doubles.
-
-    s is formed with g/J above order 1 at the scale 2^-n/2, where its
-    square fits; w is carried at its own power of two.
-    """
+    """(s, Omega/2) in units of J: the pole strength and half the drive."""
+    _, _, omega_rabi, g = in_units_of_j(params, emitter)
     h = h_over_j(k, params)
     require_dispersive(params, k)
     fac = interference_factor(cmath.phase(h), config.alpha)
-    g = emitter.g / params.J
-    m = math.frexp(g)[1] if g >= 1.0 else 0
-    g = math.ldexp(g, -m)
     a, b = 1.0 + params.delta, 1.0 - params.delta
-    drive, p = math.frexp(emitter.omega_rabi)
-    j_mant, j_exp = math.frexp(params.J)
-    return (g * g * abs(h) * fac / (4.0 * a * b * math.sin(k)), 2 * m,
-            drive / j_mant / 2.0, p - j_exp)
+    return g * g * abs(h) * fac / (4.0 * a * b * math.sin(k)), omega_rabi / 2.0
+
+
+def _in_energy(z: complex, params: WaveguideParams) -> complex:
+    """z J, part by part (a complex times a float may flip a -0)."""
+    return complex(z.real * params.J, z.imag * params.J)
 
 
 def poles(
@@ -138,43 +105,26 @@ def poles(
     radicals: ``dk = i s +/- sqrt(Omega^2/4 - s^2)`` with the complex
     strength ``s = g^2 omega_k F / (4 t1 t2 sin k)``.  Both roots are
     solved in units of J, the smaller as -(Omega/2)^2 over the larger, and
-    each is scaled back once; a pole beyond the range of doubles raises
-    ValidationError naming g or omega_rabi, whichever term dominates it.
+    each is multiplied by J once; a pole beyond the range of doubles in
+    absolute units (J is unbounded) raises ValidationError naming g or
+    omega_rabi, whichever term dominates it.
     """
     if emitter.delta_c != 0.0:
         raise UnsupportedFeatureError(
             "closed-form poles require delta_c = 0; sweep the spectrum instead"
         )
-    strength, exponent, half, p = _pole_terms(config, params, emitter, k)
-    # the discriminant at the power-of-two scale 2^top of the larger of
-    # Omega/2J and |s| (a zero term takes the other's), where no square
-    # over- or underflows
-    s_top = math.frexp(abs(strength))[1] + exponent
-    h_top = math.frexp(half)[1] + p
-    top = max(s_top if strength else h_top, h_top if half else s_top)
-    s_scaled = _scaled(strength, exponent - top)
-    h_scaled = math.ldexp(half, p - top)
-    r_scaled = cmath.sqrt(h_scaled * h_scaled - s_scaled * s_scaled)
-    plus = (1j * s_scaled * r_scaled.conjugate()).real >= 0.0
-    # the larger root, free of cancellation, 2^1022 up from there, where
-    # its modulus lies in [2^1020, 2^1024) and i s keeps its digits beside
-    # an Omega/2 up to 2^2044 times larger
-    top -= 1022
-    larger = 1j * _scaled(strength, exponent - top)
-    root = r_scaled / 2.0**-1022
-    larger = larger + root if plus else larger - root
-    pole = complex(_unscale(larger.real, top, params), _unscale(larger.imag, top, params))
+    strength, half = _pole_terms(config, params, emitter, k)
+    root = cmath.sqrt(half * half - strength * strength)
+    plus = (1j * strength * root.conjugate()).real >= 0.0
+    # the larger root, free of cancellation; their product is -(Omega/2)^2
+    larger = 1j * strength + root if plus else 1j * strength - root
+    pole = _in_energy(larger, params)
     if not cmath.isfinite(pole):
-        field, order = ("g", "g^2/J") if abs(s_scaled) >= abs(h_scaled) else ("omega_rabi", "Omega")
+        field, order = ("g", "g^2/J") if abs(strength) >= half else ("omega_rabi", "Omega")
         raise ValidationError(
             f"{field} out of range: {getattr(emitter, field)} (a pole, of order {order}, overflows)"
         )
-    # their product is -(Omega/2)^2, formed with the larger brought to order 1
-    smaller = 0j
-    if half:
-        smaller = -half * (half / _scaled(larger, -1022))
-        n = 2 * p - top - 1022
-        smaller = complex(_unscale(smaller.real, n, params), _unscale(smaller.imag, n, params))
+    smaller = _in_energy(-half * (half / larger), params) if half else 0j
     return PolePair(pole, smaller) if plus else PolePair(smaller, pole)
 
 
@@ -190,14 +140,13 @@ def classify_regime(
     0.25 the response is a single Lorentzian dip, above 4 an Autler-Townes
     doublet, in between a transparency window.
     """
-    strength, exponent, half, p = _pole_terms(config, params, emitter, k)
+    strength, half = _pole_terms(config, params, emitter, k)
     if half == 0.0:
         ratio = 0.0
     elif strength == 0.0:
         ratio = math.inf
     else:
-        mant, n = math.frexp(abs(strength))
-        ratio = _ldexp(abs(half) / mant, p - exponent - n)
+        ratio = abs(half) / abs(strength)
     if ratio < RATIO_LORENTZIAN_MAX:
         label = "lorentzian"
     elif ratio <= RATIO_EIT_MAX:
@@ -209,12 +158,9 @@ def classify_regime(
 
 def lamb_shift(g: float, alpha: float, params: WaveguideParams) -> float:
     """Displacement g^2 a(1-a)/t1 of the transmission zero for split-site
-    coupling (exactly zero for single-site coupling, even where g^2
-    overflows), formed in units of J with g/J above order 1 at scale 2^-m."""
-    g = g / params.J
-    m = math.frexp(g)[1] if g >= 1.0 else 0
-    g = math.ldexp(g, -m)
-    return _unscale(alpha * (1.0 - alpha) * g * g / (1.0 + params.delta), 2 * m, params)
+    coupling (exactly zero for single-site coupling), formed in units of J."""
+    g = in_units_of_j(params, EmitterParams(0.0, g=g))[3]
+    return alpha * (1.0 - alpha) * g * g / (1.0 + params.delta) * params.J
 
 
 def ats_dip_positions(

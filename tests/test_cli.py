@@ -254,18 +254,21 @@ class TestParamFileAndErrors:
         assert "Warning" not in err
 
     def test_poles_json_is_strict(self, capsys):
-        # (Omega/J)^2 overflows here; the output must stay strict JSON, with
-        # any non-finite part written as a string, never as NaN or Infinity
-        assert run(["poles", "--config", "A", "--omega-rabi", "1e300"]) == 0
+        # a non-finite part is written as a string, never as NaN or Infinity;
+        # Omega = 1e300 J, whose square overflowed, is now a usage error
+        assert run(["poles", "--config", "A", "--omega-rabi", "1e300"]) == 2
+        assert re.search(r"\bomega_rabi out of range", capsys.readouterr().err)
+        assert run(["poles", "--config", "A", "--omega-rabi", "0.2", "--g", "0"]) == 0
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        json.loads(capsys.readouterr().out, parse_constant=reject)
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["ratio"] == "inf"
         assert cli._jsonify(complex(math.nan, -math.inf)) == ["nan", "-inf"]
         assert cli._jsonify(complex(1.0, -0.0)) == [1.0, -0.0]
 
-    @pytest.mark.parametrize("value", ["1e200", "1e300"])
+    @pytest.mark.parametrize("value", ["1e31", "1e200", "1e300", "1e-31", "1e-170", "5e-324"])
     @pytest.mark.parametrize("flag, field", [("--g", "g"), ("--omega-rabi", "omega_rabi")])
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--config", "A", "--dk-steps", "5"],
@@ -274,38 +277,41 @@ class TestParamFileAndErrors:
         ["poles", "--config", "A"],
         ["poles", "--config", "AB", "--alpha", "0.3"],
     ], ids=["spectrum", "contour", "features", "poles", "poles-AB"])
-    def test_huge_coupling_or_drive_is_finite_or_named(self, capsys, argv, flag, field, value):
-        # (g/J)^2 and (Omega/J)^2 overflow: the answer is finite (the
-        # potential enters only as a ratio) or a usage error naming the field
-        code = run(["--format", "json", *argv, f"{flag}={value}"])
+    def test_coupling_or_drive_outside_the_domain_is_named(self, capsys, argv, flag, field, value):
+        # outside [2^-100, 2^100] J, where (g/J)^2 or (Omega/J)^2 over- or
+        # underflows, every command is a usage error naming the field
+        assert run(["--format", "json", *argv, f"{flag}={value}"]) == 2
         captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(rf"\b{field} out of range", captured.err), captured.err
         assert "Warning" not in captured.err
-        if code == 2:
-            assert re.search(rf"\b{field}\b", captured.err), captured.err
-            return
-        assert code == 0
-
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        json.loads(captured.out, parse_constant=reject)
-        assert not re.search(r'"-?(nan|inf)"', captured.out), captured.out
 
     @pytest.mark.parametrize("argv", [
         ["contour", "--config", "AB", "--alpha", "0.3", "--dk-steps", "5",
-         "--omega-rabi-max", "1e300", "--omega-rabi-steps", "4", "--g", "1e300"],
-        ["spectrum", "--config", "B", "--dk-steps", "9", "--omega-rabi", "1e300", "--g", "1e300"],
-    ], ids=["contour", "spectrum"])
-    def test_huge_coupling_and_drive_together_are_finite(self, capsys, argv):
+         "--omega-rabi-max", "1.2676506002282294e30", "--omega-rabi-steps", "4",
+         "--g", "1.2676506002282294e30"],
+        ["spectrum", "--config", "B", "--dk-steps", "9", "--omega-rabi", "1.2676506002282294e30",
+         "--g", "1.2676506002282294e30"],
+        ["spectrum", "--config", "AB", "--dk-steps", "9", "--omega-rabi", "7.888609052210118e-31",
+         "--g", "7.888609052210118e-31"],
+    ], ids=["contour", "spectrum", "spectrum-weak"])
+    def test_coupling_and_drive_at_the_domain_ends_are_finite(self, capsys, argv):
         assert run(["--format", "json", *argv]) == 0
         captured = capsys.readouterr()
         assert "Warning" not in captured.err
         assert not re.search(r'"-?(nan|inf)"', captured.out), captured.out
 
+    def test_subnormal_drive_is_a_usage_error(self, capsys):
+        # the lattice halved Omega = 5e-324 to 0 while the closed form kept it
+        assert run(["spectrum", "--omega-rabi", "5e-324"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"\bomega_rabi out of range", captured.err), captured.err
+
     def test_underflowing_coupling_poles(self, capsys):
-        assert run(["poles", "--config", "A", "--omega-rabi", "0.2", "--g", "1e-170"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["regime"] == "ats" and payload["ratio"] == "inf"
+        # g^2 underflowed and the ratio read inf; now a usage error
+        assert run(["poles", "--config", "A", "--omega-rabi", "0.2", "--g", "1e-170"]) == 2
+        assert re.search(r"\bg out of range", capsys.readouterr().err)
 
     ENERGY_FIELDS = {"delta_k", "position", "fwhm", "pole_plus", "pole_minus", "lamb_shift"}
 
@@ -342,11 +348,12 @@ class TestParamFileAndErrors:
         assert len(unit) > 4
         assert scaled == pytest.approx(unit, rel=1e-9, abs=1e-12)
 
-    @pytest.mark.parametrize("command", ["spectrum", "contour", "features"])
-    def test_huge_emitter_energy_is_an_empty_grid(self, capsys, command):
+    @pytest.mark.parametrize("command", ["spectrum", "contour", "features", "poles"])
+    def test_huge_emitter_energy_is_named(self, capsys, command):
+        # once the empty-grid usage error; 1e300 J is outside the domain
         assert run([command, "--omega-e", "1e300"]) == 2
         err = capsys.readouterr().err
-        assert "no grid point maps into the upper passband" in err
+        assert re.search(r"\bomega_e out of range", err), err
         assert "Warning" not in err
 
     def test_subnormal_scale_winding(self, capsys):

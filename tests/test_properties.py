@@ -3,10 +3,12 @@
 The draws reach potential poles, two-photon resonance and band edges; an
 input the package rejects must be rejected the same way on both sides of
 an identity.  Energies are on the scale of J: each drive and detuning is
-either exactly 0 or at least 1e-6 J.  Far below that, products such as
-4 g^2 (dk + dc) leave the range of doubles, and the 1e-14 pole-hit
-threshold is in units of J, not relative to the drive.  Couplings also
-reach down to 1e-300 J, where g^2 underflows.  The kinematics, the closed
+either exactly 0 or at least 1e-6 J, since the 1e-14 pole-hit threshold
+is in units of J, not relative to the drive.  Couplings also reach down
+to 1e-300 J and detunings may be tiny, below the domain [2^-100, 2^100] J
+of ``params.in_units_of_j``: such a draw is refused with the same
+ValidationError on both sides, and a draw moved outside the domain on
+purpose is refused alike by every route.  The kinematics, the closed
 forms, the check route, the poles, the group velocity and the Bloch
 eigenvectors are computed in units of J, so rescaling J by any power of
 two that keeps every input and output a normal double must give the J = 1
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sshscatter import (  # noqa: E402
@@ -45,8 +47,9 @@ from sshscatter import (  # noqa: E402
     scattering_matrix,
     transfer_matrix,
     transmittance,
+    validate,
 )
-from sshscatter.errors import ModelError  # noqa: E402
+from sshscatter.errors import ModelError, ValidationError  # noqa: E402
 
 
 def _magnitude(high):
@@ -120,10 +123,10 @@ def _scale_answers(config, omega, wg, emitter, band):
         _outcome(lambda: transmittance(config, omega, wg, emitter, band)),
         _outcome(lambda: reflectance(config, omega, wg, emitter, band)),
         k,
-        amplitude_grid(config, [omega, -omega], wg, emitter, band),
+        _outcome(lambda: amplitude_grid(config, [omega, -omega], wg, emitter, band)),
         pair,
         regime,
-        lamb_shift(emitter.g, config.alpha, wg),
+        _outcome(lambda: lamb_shift(emitter.g, config.alpha, wg)),
         route,
         speed,
         vectors,
@@ -167,7 +170,9 @@ def test_transmission_covariant_under_rescaling_j(case, exponent):
     answers = _scale_answers(config, omega, wg, emitter, band)
     t, r, k, grid, pair, regime, shift, route, speed, vectors = answers
     energies = [omega, emitter.omega_e, omega - emitter.omega_e, emitter.delta_c,
-                emitter.omega_rabi, emitter.g, shift]
+                emitter.omega_rabi, emitter.g]
+    if not isinstance(shift, type):
+        energies.append(shift)
     if not isinstance(speed, type):
         energies.append(speed)
     if not isinstance(k, type):
@@ -192,15 +197,21 @@ def test_transmission_covariant_under_rescaling_j(case, exponent):
     _assert_same(t_j, t, 0.0)
     _assert_same(r_j, r, 0.0)
     _assert_same(k_j, k, 0.0)
-    for a, b in zip(grid_j, grid):
-        np.testing.assert_array_equal(a, b)
+    if isinstance(grid, type):
+        assert grid_j is grid
+    else:
+        for a, b in zip(grid_j, grid):
+            np.testing.assert_array_equal(a, b)
     if isinstance(pair, type):
         assert pair_j is pair
     else:
         assert pair_j.pole_plus == pair.pole_plus * j
         assert pair_j.pole_minus == pair.pole_minus * j
     assert regime_j == regime
-    assert shift_j == shift * j
+    if isinstance(shift, type):
+        assert shift_j is shift
+    else:
+        assert shift_j == shift * j
     if isinstance(route, type):
         assert route_j is route
     else:
@@ -251,3 +262,58 @@ def test_band_mirror_for_single_site_coupling(case):
     upper = _outcome(lambda: transmittance(config, omega, wg, emitter, Band.UPPER))
     lower = _outcome(lambda: transmittance(config, -omega, wg, mirrored, Band.LOWER))
     _assert_same(lower, upper, 0.0)
+
+
+_DOMAIN_FIELDS = ("omega_e", "delta_c", "omega_rabi", "g")
+
+
+@st.composite
+def outside_the_domain(draw):
+    """(case, field): a case with one of omega_e, delta_c, omega_rabi or g
+    moved outside [2^-100, 2^100] J, below or above, on a chain with J a
+    power of two."""
+    config, omega, wg, emitter, band = draw(cases())
+    j = 2.0 ** draw(st.integers(-900, 900))
+    field = draw(st.sampled_from(_DOMAIN_FIELDS))
+    ratio = draw(st.one_of(st.floats(5e-324, 2.0**-101), st.floats(2.0**101, 2.0**120)))
+    if field in ("omega_e", "delta_c"):
+        ratio *= draw(st.sampled_from((1.0, -1.0)))
+    # every other field inside the domain (0 where the draw put it outside)
+    inside = {name: getattr(emitter, name) * j for name in _DOMAIN_FIELDS}
+    inside = {name: v if v == 0 or 2.0**-100 <= abs(v / j) <= 2.0**100 else 0.0
+              for name, v in inside.items()}
+    assume(ratio * j != 0.0)  # a ratio below the subnormals at this J reads 0
+    emitter = replace(emitter, **{**inside, field: ratio * j})
+    return (config, omega * j, WaveguideParams(wg.delta, J=j), emitter, band), field
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=outside_the_domain())
+def test_out_of_domain_draw_is_refused_alike_by_every_route(drawn):
+    """A field outside the domain gets one ValidationError, naming it, from
+    validate and from every route that reads the emitter: both closed
+    forms, the grid, the check route, the poles, the regime, the Lamb shift
+    and the lattice (scalar and array)."""
+    (config, omega, wg, emitter, band), field = drawn
+    with pytest.raises(ValidationError, match=rf"^{field} out of range") as err:
+        validate(wg, emitter, config)
+    message = str(err.value)
+    k = _outcome(lambda: momentum_from_energy(omega, wg, band))
+    assume(not isinstance(k, type))  # a band edge to rounding: the kinematics refuse first
+    routes = [
+        lambda: transmittance(config, omega, wg, emitter, band),
+        lambda: reflectance(config, omega, wg, emitter, band),
+        lambda: amplitude_grid(config, [omega, -omega], wg, emitter, band),
+        lambda: transfer_matrix(config, k, wg, emitter, band),
+        lambda: classify_regime(config, wg, emitter, k),
+        lambda: boundary_matched_solve(omega, 32, wg, emitter, config, band),
+        lambda: boundary_matched_solve(np.array([omega]), 32, wg, emitter, config, band),
+    ]
+    if field != "delta_c":
+        routes.append(lambda: poles(config, wg, replace(emitter, delta_c=0.0), k))
+    if field == "g":
+        routes.append(lambda: lamb_shift(emitter.g, config.alpha, wg))
+    for route in routes:
+        with pytest.raises(ValidationError) as err:
+            route()
+        assert str(err.value) == message

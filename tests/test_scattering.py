@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -378,31 +379,35 @@ class TestTransmittance:
             sol = boundary_matched_solve(1.5, 32, trivial_chain, emitter, config)
             assert abs(sol.t_num - 1.0) < 1e-12
 
-    def test_transparency_survives_an_underflowing_drive(self, trivial_chain):
-        # Omega^2 underflows to 0, so the potential reads 0/0 at dk = -dc: the
-        # emitter must still be transparent, not raise ZeroDivisionError
+    def test_underflowing_drive_is_refused_by_name(self, trivial_chain):
+        # Omega = 5e-324 J lies below the domain [2^-100, 2^100] J: every route
+        # refuses it naming omega_rabi (the lattice halved it to 0 and solved
+        # an undriven emitter, t = 0, where the closed form gave t = 1)
         emitter = EmitterParams(omega_e=1.5, omega_rabi=5e-324, g=0.2, x1=5)
         assert detuning_response(0.0, 0.0, 5e-324) == 0.0
         k = momentum_from_energy(1.5, trivial_chain)
         for variant in Variant:
-            assert transmittance(CouplingConfig(variant), 1.5, trivial_chain, emitter) == 1.0
-            assert reflectance(CouplingConfig(variant), 1.5, trivial_chain, emitter) == 0.0
-            pipe = scattering_matrix(transfer_matrix(CouplingConfig(variant), k, trivial_chain,
-                                                     emitter))
-            assert pipe.t_left == 1.0 and pipe.r_left == 0.0
+            config = CouplingConfig(variant)
+            for route in (
+                lambda: transmittance(config, 1.5, trivial_chain, emitter),
+                lambda: reflectance(config, 1.5, trivial_chain, emitter),
+                lambda: amplitude_grid(config, [1.5], trivial_chain, emitter),
+                lambda: transfer_matrix(config, k, trivial_chain, emitter),
+                lambda: boundary_matched_solve(1.5, 32, trivial_chain, emitter, config),
+                lambda: boundary_matched_solve(np.array([1.5]), 32, trivial_chain, emitter,
+                                               config),
+            ):
+                with pytest.raises(ValidationError, match=r"^omega_rabi out of range"):
+                    route()
 
     @pytest.mark.parametrize("omega_rabi", [1e-155, 1e-160])
-    def test_grid_transparency_survives_a_subnormal_drive_square(self, trivial_chain, omega_rabi):
-        # Omega^2 is subnormal, and so was the denominator kept at dk = -dc:
-        # numpy's complex division by it overflowed, and a sweep printed
-        # T = inf, R = nan there.  V = 0 reads t = 1, r = 0 on a grid too
+    def test_grid_refuses_a_drive_whose_square_is_subnormal(self, trivial_chain, omega_rabi):
+        # Omega^2 subnormal made numpy's complex division overflow (T = inf,
+        # R = nan in a sweep); such a drive is now outside the domain
         emitter = EmitterParams(omega_e=1.5, omega_rabi=omega_rabi, g=0.2, x1=5)
         for variant in Variant:
-            config = CouplingConfig(variant)
-            in_band, t, r = amplitude_grid(config, [1.4, 1.5, 1.6], trivial_chain, emitter)
-            assert in_band.all() and t[1] == 1.0 and r[1] == 0.0
-            for omega, t_grid in zip((1.4, 1.6), t[::2]):
-                assert abs(t_grid - transmittance(config, omega, trivial_chain, emitter)) < 1e-15
+            with pytest.raises(ValidationError, match=r"^omega_rabi out of range"):
+                amplitude_grid(CouplingConfig(variant), [1.4, 1.5, 1.6], trivial_chain, emitter)
 
     @pytest.mark.parametrize("omega_rabi", [0.0, 0.2])
     def test_decoupled_emitter_is_transparent(self, trivial_chain, omega_rabi):
@@ -468,6 +473,30 @@ class TestTransmittance:
         t = transmittance(config_ab, -1.62, trivial_chain, emitter, Band.LOWER)
         r = reflectance(config_ab, -1.62, trivial_chain, emitter, Band.LOWER)
         assert abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) < 1e-12
+
+
+class TestTwoPhotonLevel:
+    """The closed form and the lattice read one rounded metastable level.
+
+    The lattice holds a at omega_e/J - delta_c/J; the closed form once
+    formed the detuning from it as dk + delta_c, which does not cancel
+    where omega equals that level only after rounding, and so saw a
+    potential where the lattice saw none."""
+
+    @pytest.mark.parametrize("emitter, omega", [
+        # dk + dc = 1.8e-16 and den = -1.4e-16, snapped to a pole: t was 0
+        (EmitterParams(omega_e=1.5, delta_c=0.05, omega_rabi=1e-8, g=0.2, x1=10), 1.45),
+        # omega_e - delta_c rounds to omega_e: dk + dc = 1e-20 gave |t| = 0.0192
+        (EmitterParams(omega_e=1.7, delta_c=-1e-20, omega_rabi=0.3, g=1e10, x1=10), 1.7),
+    ], ids=["tiny-drive", "tiny-detuning"])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_closed_form_matches_the_lattice(self, trivial_chain, variant, emitter, omega):
+        config = CouplingConfig(variant, 0.35)
+        t = transmittance(config, omega, trivial_chain, emitter)
+        assert t == 1.0 and reflectance(config, omega, trivial_chain, emitter) == 0.0
+        assert amplitude_grid(config, [omega], trivial_chain, emitter)[1][0] == 1.0
+        sol = boundary_matched_solve(omega, 32, trivial_chain, emitter, config)
+        assert abs(sol.t_num - t) < 1e-10
 
 
 class TestClosedFormVsPipeline:
@@ -597,44 +626,30 @@ class TestNearPole:
         assert worst_lattice <= 1e-12
 
 
-class TestSubnormalCoupling:
-    """A coupling whose square is subnormal (g below about 1.5e-154).
-
-    At an exact pole hit the amplitudes are those of any g > 0 (t = 0 for
-    single-site coupling), and off it the emitter is transparent to double
-    precision; g^2 itself keeps only a few significant bits there.
-    """
+class TestCouplingAtTheDomainEnds:
+    """Couplings and drives at the ends of the domain [2^-100, 2^100] J and
+    beyond them.  Inside, no square or product of the ratios to J leaves
+    the normal doubles, so the closed form needs no scale branch; outside,
+    every route refuses the field by name."""
 
     @pytest.mark.parametrize("variant,alpha", [(Variant.A, 1.0), (Variant.B, 0.0),
                                                (Variant.AB, 0.2)])
-    @pytest.mark.parametrize("x1", [4, 5])
-    def test_flux_at_and_off_a_pole_hit(self, trivial_chain, variant, alpha, x1):
+    @pytest.mark.parametrize("g", [3.9e-162, 1e-100, 5e-324, 1e31, 1e300])
+    def test_coupling_outside_the_domain_is_refused(self, trivial_chain, variant, alpha, g):
+        # g = 3.9e-162 once gave |r| = 1.07 at a pole hit (g^2 subnormal)
         config = CouplingConfig(variant, alpha)
-        tiny = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=3.9e-162, x1=x1)
-        normal = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=0.2, x1=x1)
-        omegas = np.array([1.5, 1.6])
-        in_band, t_grid, r_grid = amplitude_grid(config, omegas, trivial_chain, tiny)
-        assert in_band.all()
-        for omega, t_g, r_g in zip(omegas, t_grid, r_grid):
-            t = transmittance(config, omega, trivial_chain, tiny)
-            r = reflectance(config, omega, trivial_chain, tiny)
-            assert abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) <= 1e-12
-            assert abs(t_g - t) <= 1e-15 and abs(r_g - r) <= 1e-15
-        # the pole hit: every g > 0 gives the same amplitudes
-        t = transmittance(config, 1.5, trivial_chain, tiny)
-        r = reflectance(config, 1.5, trivial_chain, tiny)
-        assert abs(t - transmittance(config, 1.5, trivial_chain, normal)) <= 1e-12
-        assert abs(r - reflectance(config, 1.5, trivial_chain, normal)) <= 1e-12
-        # off the pole the potential is below 1e-300
-        assert abs(transmittance(config, 1.6, trivial_chain, tiny) - 1.0) <= 1e-15
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=g, x1=4)
+        for route in (transmittance, reflectance):
+            with pytest.raises(ValidationError, match=r"^g out of range"):
+                route(config, 1.6, trivial_chain, emitter)
+        with pytest.raises(ValidationError, match=r"^g out of range"):
+            amplitude_grid(config, [1.5, 1.6], trivial_chain, emitter)
 
     @pytest.mark.parametrize("config", [CouplingConfig(Variant.A), CouplingConfig(Variant.B),
                                         CouplingConfig(Variant.AB, 0.3)], ids=["A", "B", "AB"])
-    def test_pole_hit_is_the_g_equal_j_answer_for_every_g(self, trivial_chain, config):
+    def test_pole_hit_does_not_depend_on_g(self, trivial_chain, config):
         # 4 dk (dk + dc) = Omega^2 exactly at dk = Omega/2 = 0.125: g^2 cancels
-        # from t and r, so a pole hit is solved at g = J.  Above J the pair
-        # num g^2 : den is rescaled by the square of g's mantissa first, which
-        # may move the last bit.
+        # from t and r, up to the rounding of C = 4 num g^2 and of D
         def amplitudes(g):
             emitter = EmitterParams(omega_e=1.5, omega_rabi=0.25, g=g, x1=5)
             _, t_grid, r_grid = amplitude_grid(config, [1.625], trivial_chain, emitter)
@@ -642,21 +657,10 @@ class TestSubnormalCoupling:
                     reflectance(config, 1.625, trivial_chain, emitter), t_grid[0], r_grid[0])
 
         at_j = amplitudes(1.0)
-        for g in [5e-324, 1e-300, 1e-200, 1e-100, 1e-20, 0.2, 0.99, 3.0, 1e3, 1e10]:
-            got = amplitudes(g)
-            if g <= 1.0:
-                assert got == at_j
-            else:
-                assert got == pytest.approx(at_j, rel=4 * 2.0**-52, abs=4 * 2.0**-52)
-
-
-class TestStrongCouplingAndDrive:
-    """A coupling or drive above J, up to where its square overflows.
-
-    The potential 4 g^2 num/den enters t and r only as a ratio: above
-    Omega = J num and den are divided by Omega^2, above g = J the pair
-    (num g^2, den) is scaled by a power of two, so no product overflows.
-    """
+        for g in [2.0**-100, 1e-20, 0.2, 0.99, 3.0, 1e3, 1e10, 2.0**100]:
+            assert amplitudes(g) == pytest.approx(at_j, rel=4 * 2.0**-52, abs=4 * 2.0**-52)
+        if config.variant is not Variant.AB:
+            assert at_j[0] == 0.0
 
     @pytest.mark.parametrize("g, omega_rabi", [(1.7, 0.4), (0.2, 2.5), (3.0, 40.0), (1e5, 1e3)])
     @pytest.mark.parametrize(
@@ -676,8 +680,8 @@ class TestStrongCouplingAndDrive:
             assert abs(t_other - t) < 1e-10
             assert abs(r_other - r) < 1e-10
 
-    @pytest.mark.parametrize("g", [0.2, 1e154, 1.3e154, 1e300])
-    @pytest.mark.parametrize("omega_rabi", [0.0, 0.4, 1e154, 1e300])
+    @pytest.mark.parametrize("g", [0.2, 2.0**100])
+    @pytest.mark.parametrize("omega_rabi", [0.0, 0.4, 2.0**-100, 2.0**100])
     @pytest.mark.parametrize("alpha", [1.0, 0.0, 0.3])
     def test_finite_and_flux_conserving(self, trivial_chain, g, omega_rabi, alpha):
         # dk = -delta_c = 1/16 (exact) is the two-photon zero of the driven
@@ -692,25 +696,101 @@ class TestStrongCouplingAndDrive:
         np.testing.assert_allclose(np.abs(t) ** 2 + np.abs(r) ** 2, 1.0, rtol=0, atol=1e-12)
         if omega_rabi > 0.0:
             assert abs(t[1] - 1.0) < 1e-12
-        if g > 1e150 and omega_rabi < 1.0:
-            # off that zero the potential is infinite to double precision:
-            # the same amplitudes as at g = 1e100 J (a mirror for one site)
-            strong = EmitterParams(omega_e=1.5, delta_c=-0.0625, omega_rabi=omega_rabi, g=1e100, x1=5)
-            t_ref = amplitude_grid(config, omegas, trivial_chain, strong)[1]
-            np.testing.assert_allclose(t[[0, 2]], t_ref[[0, 2]], rtol=0, atol=1e-12)
-            if variant is not Variant.AB:
-                assert np.abs(t[[0, 2]]).max() < 1e-12
+        if g > 1e20 and omega_rabi < 1.0 and variant is not Variant.AB:
+            # off that zero the potential is of order (g/J)^2: a mirror
+            assert np.abs(t[[0, 2]]).max() < 1e-12
+
+    @pytest.mark.parametrize("field", ["g", "omega_rabi"])
+    @pytest.mark.parametrize("value", [1e31, 1.3e154, 1e300])
+    def test_strong_coupling_or_drive_outside_the_domain_is_refused(self, trivial_chain, field,
+                                                                    value):
+        # above 2^100 J the closed form once rescaled num and den by powers of
+        # two; such a field is now refused by name
+        emitter = EmitterParams(omega_e=1.5, delta_c=-0.0625, omega_rabi=0.4, g=0.2, x1=5)
+        emitter = dataclasses.replace(emitter, **{field: value})
+        with pytest.raises(ValidationError, match=rf"^{field} out of range"):
+            amplitude_grid(CouplingConfig(Variant.AB, 0.3), [1.45, 1.6], trivial_chain, emitter)
 
 
+_ENDS = (2.0**-100, 2.0**-100 * 1.37, 0.3, 1.0, 2.0**100 / 1.37, 2.0**100)
+
+
+class TestDomainCorners:
+    """Every corner of the domain [2^-100, 2^100] J of g, Omega and delta_c
+    (with 0 for Omega and delta_c), on both bands, at J from 2^-900 to
+    2^900: the closed forms are finite and conserve flux, are exactly
+    J-covariant at J = 2^n, and agree with the lattice oracle.
+
+    A pole hit snapped by ``_POLE_EPS`` (den within 1e-14 J^2 of 0, set to
+    0) is compared with the lattice only through t = 0 for single-site
+    coupling: the snap puts the pole on a point up to about 1e-14 J^2 / |dk|
+    away from it, and where the drive is tiny that is far from the true
+    pole in units of the drive, so the lattice, which solves H as it is,
+    need not see a zero there (A, delta = 0.5, g = 1e-8, Omega = 1.37e-8,
+    delta_c = 0.05, omega = omega_e = 1.2: t = 0 snapped, |t| = 0.993 on
+    the lattice, the true pole about 4 ulps of omega away).
+    """
+
+    @staticmethod
+    def _corners(sign):
+        """(emitter in units of J, energies in units of J): omega_e = 1.5,
+        probed at resonance, at the poles +-Omega/2, at two-photon resonance
+        omega_a and at 1.62, each where it is in band."""
+        for g in _ENDS:
+            for omega_rabi in (0.0, *_ENDS):
+                for delta_c in (0.0, *_ENDS[:3], -1.0, -_ENDS[4], _ENDS[5]):
+                    emitter = EmitterParams(omega_e=sign * 1.5, delta_c=sign * delta_c,
+                                            omega_rabi=omega_rabi, g=g, x1=10)
+                    energies = [1.5, 1.5 + omega_rabi / 2.0, 1.5 - omega_rabi / 2.0,
+                                1.5 - delta_c, 1.62]
+                    yield emitter, [sign * w for w in energies if 1.0 < w < 2.0]
+
+    @pytest.mark.parametrize("J", [1.0, 0.7, 2.0**-900, 2.0**900])
+    @pytest.mark.parametrize("band", [Band.UPPER, Band.LOWER])
+    @pytest.mark.parametrize("config", [CouplingConfig(Variant.A), CouplingConfig(Variant.B),
+                                        CouplingConfig(Variant.AB, 0.3)], ids=["A", "B", "AB"])
+    def test_corner(self, config, band, J):
+        from sshscatter.scattering import _potential_terms
+
+        unit, wg = WaveguideParams(delta=0.5), WaveguideParams(delta=0.5, J=J)
+        covariant = math.frexp(J)[0] == 0.5
+        for emitter, energies in self._corners(band.sign):
+            scaled = dataclasses.replace(
+                emitter, omega_e=emitter.omega_e * J, delta_c=emitter.delta_c * J,
+                omega_rabi=emitter.omega_rabi * J, g=emitter.g * J)
+            omegas = np.array(energies) * J
+            solved, t_lat, r_lat, _ = boundary_matched_solve(omegas, 32, wg, scaled, config, band)
+            assert solved.all()
+            for i, omega in enumerate(omegas.tolist()):
+                t = transmittance(config, omega, wg, scaled, band)
+                r = reflectance(config, omega, wg, scaled, band)
+                assert cmath.isfinite(t) and cmath.isfinite(r)
+                assert abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) <= 1e-12
+                if covariant:
+                    assert t == transmittance(config, energies[i], unit, emitter, band)
+                    assert r == reflectance(config, energies[i], unit, emitter, band)
+                e_level = scaled.omega_e / J
+                a_level = e_level - scaled.delta_c / J
+                num, den = _potential_terms(omega / J - e_level, omega / J - a_level,
+                                            emitter.omega_rabi, emitter.g)
+                if den == 0.0 and num != 0.0:  # a snapped pole hit
+                    assert t == 0.0 or config.variant is Variant.AB
+                    continue
+                assert abs(t_lat[i] - t) <= 1e-10 and abs(r_lat[i] - r) <= 1e-10
+
+
+@pytest.mark.parametrize("g", [0.2, 3.0, 2.0**100])
 @pytest.mark.parametrize("J", [1.0, 0.37])
 @pytest.mark.parametrize("variant", list(Variant))
-def test_float_inputs_give_python_scalars(variant, J):
+def test_float_inputs_give_python_scalars(variant, J, g):
     # the scalar route takes no numpy call, which would return numpy scalars
     # and slow every scalar query: floats in, Python complex and float out,
-    # at a finite potential and at a pole hit (+-Omega/2)
+    # at a finite potential and at a pole hit (+-Omega/2), for a coupling
+    # below and above J (above J a rescaling by np.frexp once gave numpy
+    # scalars)
     wg = WaveguideParams(delta=0.5, J=J)
     config = CouplingConfig(variant, 0.35)
-    emitter = EmitterParams(omega_e=1.5 * J, omega_rabi=0.2 * J, g=0.2 * J, x1=5)
+    emitter = EmitterParams(omega_e=1.5 * J, omega_rabi=0.2 * J, g=g * J, x1=5)
     for band, omega in ((Band.UPPER, 1.62 * J), (Band.UPPER, 1.6 * J), (Band.LOWER, -1.62 * J)):
         k = momentum_from_energy(omega, wg, band)
         assert type(k) is float

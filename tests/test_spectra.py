@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,12 +93,12 @@ class TestPoles:
 
     @pytest.mark.parametrize("config", [CouplingConfig(Variant.A), CouplingConfig(Variant.AB, 0.3)],
                              ids=["A", "AB"])
-    @pytest.mark.parametrize("g", [1e-78, 1e-100, 1e-150])
+    @pytest.mark.parametrize("g", [1e-20, 2.0**-100, 2.0**100])
     def test_control_off_pole_is_twice_the_strength_for_any_coupling(
         self, trivial_chain, config, resonant_k, g
     ):
-        # Omega = 0: the poles are 2 i s and 0, however small s ~ g^2 is
-        # (s^2 underflows here; it must not be formed at the scale of J)
+        # Omega = 0: the poles are 2 i s and 0, s ~ g^2, at both ends of the
+        # domain of g
         def pair(coupling):
             emitter = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=coupling, x1=5)
             return poles(config, trivial_chain, emitter, resonant_k)
@@ -106,14 +107,23 @@ class TestPoles:
         assert pair(g).pole_plus == pytest.approx(reference, rel=1e-14, abs=0.0)
         assert pair(g).pole_minus == 0.0
 
-    @pytest.mark.parametrize("g,drive", [(2e-140, 1.6e35), (1e-150, 1e50)])
+    @pytest.mark.parametrize("g", [1e-78, 1e-100, 1e-150, 1e31, 1e300])
+    def test_coupling_outside_the_domain_is_refused(self, trivial_chain, config_a, resonant_k, g):
+        # 1e-78 to 1e-150 once took the discriminant at a power-of-two scale;
+        # every such coupling lies outside [2^-100, 2^100] J
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=g, x1=5)
+        for route in (poles, classify_regime):
+            with pytest.raises(ValidationError, match=r"^g out of range"):
+                route(config_a, trivial_chain, emitter, resonant_k)
+        with pytest.raises(ValidationError, match=r"^g out of range"):
+            lamb_shift(g, 0.5, trivial_chain)
+
+    @pytest.mark.parametrize("g,drive", [(2.0**-100, 2.0**100), (2.0**-60, 2.0**60)])
     def test_strength_keeps_its_digits_beside_a_far_larger_drive(
         self, trivial_chain, config_a, resonant_k, g, drive
     ):
-        # Omega/2 >> |s|: Im of either pole is Re(s) = Im(2 i s)/2, the
-        # Omega = 0 pole.  At the discriminant's scale s is below the
-        # smallest normal double, so the larger root must take it at its own
-        # scale, 2^1022 up, not from the discriminant's copy
+        # Omega/2 >> |s| (up to 2^300 times larger at the domain ends): Im of
+        # either pole is Re(s) = Im(2 i s)/2, the Omega = 0 pole
         def pair(omega_rabi):
             emitter = EmitterParams(omega_e=1.5, omega_rabi=omega_rabi, g=g, x1=5)
             return poles(config_a, trivial_chain, emitter, resonant_k)
@@ -122,6 +132,14 @@ class TestPoles:
         driven = pair(drive)
         assert driven.pole_plus.imag == pytest.approx(strength, rel=1e-14, abs=0.0)
         assert driven.pole_plus.real == pytest.approx(drive / 2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("drive", [2e-140, 1.6e35, 1e50])
+    def test_drive_outside_the_domain_is_refused(self, trivial_chain, config_a, resonant_k,
+                                                 drive):
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=drive, g=0.2, x1=5)
+        for route in (poles, classify_regime):
+            with pytest.raises(ValidationError, match=r"^omega_rabi out of range"):
+                route(config_a, trivial_chain, emitter, resonant_k)
 
     def test_detuned_control_unsupported(self, trivial_chain, config_a, resonant_k):
         emitter = EmitterParams(omega_e=1.5, delta_c=0.1, g=0.2, x1=5)
@@ -154,12 +172,16 @@ class TestRegime:
         assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
 
     @pytest.mark.parametrize("g", [1e-170, 1e-300, 5e-324])
-    def test_underflowing_coupling_reads_as_decoupled(self, trivial_chain, config_a, resonant_k, g):
-        # g^2 is 0 below about 1e-162; the ratio overflows as at g = 0
-        decoupled = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.0, x1=5)
+    def test_underflowing_coupling_is_refused(self, trivial_chain, config_a, resonant_k, g):
+        # g^2 is 0 below about 1e-162, where the ratio read inf as at g = 0;
+        # such a coupling is now outside the domain
         tiny = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=g, x1=5)
-        out = classify_regime(config_a, trivial_chain, tiny, resonant_k)
-        assert out == classify_regime(config_a, trivial_chain, decoupled, resonant_k)
+        with pytest.raises(ValidationError, match=r"^g out of range"):
+            classify_regime(config_a, trivial_chain, tiny, resonant_k)
+
+    def test_decoupled_ratio_is_inf(self, trivial_chain, config_a, resonant_k):
+        decoupled = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.0, x1=5)
+        out = classify_regime(config_a, trivial_chain, decoupled, resonant_k)
         assert out.label == "ats" and out.ratio == math.inf
 
 
@@ -168,9 +190,11 @@ class TestLambShift:
         assert lamb_shift(0.2, 1.0, trivial_chain) == 0.0
         assert lamb_shift(0.2, 0.0, trivial_chain) == 0.0
 
-    def test_single_site_unshifted_where_g_squared_overflows(self, trivial_chain):
-        assert lamb_shift(1e300, 1.0, trivial_chain) == 0.0
-        assert lamb_shift(1e300, 0.0, trivial_chain) == 0.0
+    def test_single_site_unshifted_at_the_domain_end(self, trivial_chain):
+        assert lamb_shift(2.0**100, 1.0, trivial_chain) == 0.0
+        assert lamb_shift(2.0**100, 0.0, trivial_chain) == 0.0
+        with pytest.raises(ValidationError, match=r"^g out of range"):
+            lamb_shift(1e300, 1.0, trivial_chain)
 
     def test_trivial_phase_value(self, trivial_chain):
         assert lamb_shift(0.2, 0.5, trivial_chain) == pytest.approx(1.0 / 150.0, rel=1e-12)
@@ -211,36 +235,41 @@ def textbook_poles(config, params, emitter, k):
 
 
 class TestTinyJ:
-    """Couplings and drives far above a tiny J: the strength of order
-    g^2/J is a normal double while (g/J)^2 is not."""
+    """A tiny J with every energy inside the domain [2^-100, 2^100] J: the
+    poles and the Lamb shift, formed in units of J and multiplied by J
+    once, match a 50-digit reference."""
 
     TINY = 1e-170
 
-    def test_poles_command_runs(self, capsys):
+    def test_poles_command_refuses_the_default_coupling(self, capsys):
+        # the default g = 0.2 is 2e169 J here: once carried at a power-of-two
+        # scale, now outside the domain and refused by name
         argv = ["poles", "--config", "A", "--J", "1e-170", "--omega-e", "1.5e-170",
                 "--omega-rabi", "2e-171"]
-        assert run(argv) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["pole_plus"][1] == pytest.approx(4.0567404227e168, rel=1e-10)
-        assert payload["regime"] == "lorentzian"
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"\bg out of range", captured.err), captured.err
 
     @pytest.mark.parametrize("config", [CouplingConfig(Variant.A), CouplingConfig(Variant.AB, 0.3)],
                              ids=["A", "AB"])
     @pytest.mark.parametrize("delta", [0.5, -0.5])
     @pytest.mark.parametrize("g, drive", [
-        (0.2, lambda s: 2e-171),  # the smaller root, about 1e-342, underflows
-        (3e-16, lambda s: 1e130),  # (g/J)^2 = 9e308 overflows
-        (1e-100, lambda s: 0.3 * s),  # Omega ~ |s| keeps Omega/J a double
-        (1e-100, lambda s: 1.0 * s),
-        (1e-100, lambda s: 4.0 * s),
-    ], ids=["g0.2", "g3e-16", "eit", "edge", "ats"])
+        (2.0**100, lambda s: 2.0**-100),  # |s| ~ 2^200 J, the smaller root ~ 2^-400 J
+        (2.0**-100, lambda s: 2.0**100),  # Omega/2 ~ 2^300 |s|
+        (2.0**-40, lambda s: 0.3 * s),
+        (2.0**-40, lambda s: 1.0 * s),
+        (2.0**-40, lambda s: 4.0 * s),
+    ], ids=["strong", "weak", "eit", "edge", "ats"])
     def test_poles_match_the_textbook(self, config, delta, g, drive):
+        # g and drive are in units of J, drive a function of |s|/J
         params = WaveguideParams(delta=delta, J=self.TINY)
         k = momentum_from_energy(1.5 * self.TINY, params)
-        emitter = EmitterParams(omega_e=1.5 * self.TINY, g=g, x1=5)
+        emitter = EmitterParams(omega_e=1.5 * self.TINY, g=g * self.TINY, x1=5)
         s = textbook_poles(config, params, emitter, k)[0]
-        omega_rabi = drive(float(abs(s)))
-        emitter = EmitterParams(omega_e=1.5 * self.TINY, omega_rabi=omega_rabi, g=g, x1=5)
+        omega_rabi = drive(float(abs(s)) / self.TINY) * self.TINY
+        emitter = EmitterParams(omega_e=1.5 * self.TINY, omega_rabi=omega_rabi,
+                                g=g * self.TINY, x1=5)
         roots = textbook_poles(config, params, emitter, k)[1]
         pair = poles(config, params, emitter, k)
         for pole in (pair.pole_plus, pair.pole_minus):
@@ -250,61 +279,57 @@ class TestTinyJ:
         assert ratio == pytest.approx(omega_rabi / 2.0 / float(abs(s)), rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.3])
-    @pytest.mark.parametrize("g", [0.2, 3e-16, 1e-100])
+    @pytest.mark.parametrize("g", [2.0**-100, 0.3, 2.0**100])
     def test_lamb_shift_matches_the_textbook(self, alpha, g):
         mp = pytest.importorskip("mpmath")
         params = WaveguideParams(delta=0.5, J=self.TINY)
+        g = g * self.TINY
         with mp.workdps(50):
             a = mp.mpf(alpha)
             expected = mp.mpf(g) ** 2 * a * (1 - a) / (mp.mpf(self.TINY) * mp.mpf(1.5))
         assert lamb_shift(g, alpha, params) == pytest.approx(float(expected), rel=1e-14)
 
     def test_lamb_shift_overflow_is_inf(self):
-        assert lamb_shift(1e300, 0.5, WaveguideParams(delta=0.5)) == math.inf
+        # (g/J)^2 J = 2^1040 J: beyond the doubles in absolute units only
+        assert lamb_shift(2.0**1020, 0.5, WaveguideParams(delta=0.5, J=2.0**1000)) == math.inf
+        with pytest.raises(ValidationError, match=r"^g out of range"):
+            lamb_shift(1e300, 0.5, WaveguideParams(delta=0.5))
 
-    def test_drive_far_below_j_without_coupling(self, trivial_chain, config_a, resonant_k):
-        # at g = 0 the poles are +-Omega/2 however small Omega is: (Omega/2)^2
-        # underflows below about 1e-154 J, so the discriminant forms at its scale
-        emitter = EmitterParams(omega_e=1.5, omega_rabi=2e-170, g=0.0, x1=5)
+    def test_drive_at_the_domain_end_without_coupling(self, trivial_chain, config_a, resonant_k):
+        # at g = 0 the poles are +-Omega/2, down to Omega = 2^-100 J; a drive
+        # of 2e-170 J, once taken at its own scale, is refused
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=2.0**-100, g=0.0, x1=5)
         pair = poles(config_a, trivial_chain, emitter, resonant_k)
-        assert {pair.pole_plus, pair.pole_minus} == {1e-170 + 0j, -1e-170 + 0j}
+        assert {pair.pole_plus, pair.pole_minus} == {2.0**-101 + 0j, -(2.0**-101) + 0j}
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=2e-170, g=0.0, x1=5)
+        with pytest.raises(ValidationError, match=r"^omega_rabi out of range"):
+            poles(config_a, trivial_chain, emitter, resonant_k)
 
 
-class TestDriveBeyondDoubles:
-    """Omega/J beyond the range of doubles, carried at its own power of two."""
+class TestDriveBeyondTheDomain:
+    """A drive beyond 2^100 J is refused by name.  J itself is unbounded, so
+    a pole in units of J can still overflow once multiplied by J."""
 
     ARGV = ["--format", "csv", "poles", "--config", "A", "--J", "1e-170",
             "--omega-e", "1.5e-170", "--g", "1e-100", "--omega-rabi", "1e139"]
 
-    def _reference(self):
+    def test_command_refuses_the_drive(self, capsys):
+        # Omega/J = 1e309 was once carried at its own power of two
+        assert run(self.ARGV) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"\bomega_rabi out of range", captured.err), captured.err
+
+    def test_library_values_match_the_textbook_at_the_domain_ends(self):
         mp = pytest.importorskip("mpmath")
         params = WaveguideParams(delta=0.5, J=1e-170)
         k = momentum_from_energy(1.5e-170, params)
-        emitter = EmitterParams(omega_e=1.5e-170, omega_rabi=1e139, g=1e-100, x1=5)
-        s, roots = textbook_poles(CouplingConfig(Variant.A), params, emitter, k)
+        emitter = EmitterParams(omega_e=1.5e-170, omega_rabi=2.0**100 * 1e-170,
+                                g=2.0**-100 * 1e-170, x1=5)
+        config = CouplingConfig(Variant.A)
+        s, roots = textbook_poles(config, params, emitter, k)
         with mp.workdps(50):
             ratio = mp.mpf(emitter.omega_rabi) / 2 / abs(s)
-        return params, k, emitter, roots, ratio
-
-    def test_command_matches_the_textbook(self, capsys):
-        _, _, _, roots, ratio = self._reference()
-        assert run(self.ARGV) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        header, row = captured.out.splitlines()
-        record = dict(zip(header.split(","), row.split(",")))
-        assert record["regime"] == "ats"
-        # each printed value is the 50-digit one to its 12 printed digits
-        plus = max(roots, key=lambda r: float(r.real))
-        minus = min(roots, key=lambda r: float(r.real))
-        expected = {"pole_plus_re": plus.real, "pole_plus_im": plus.imag,
-                    "pole_minus_re": minus.real, "pole_minus_im": minus.imag, "ratio": ratio}
-        for name, value in expected.items():
-            assert record[name] == "%.11e" % float(value), name
-
-    def test_library_values_match_the_textbook(self):
-        params, k, emitter, roots, ratio = self._reference()
-        config = CouplingConfig(Variant.A)
         pair = poles(config, params, emitter, k)
         for pole in (pair.pole_plus, pair.pole_minus):
             nearest = min(roots, key=lambda r: abs(complex(r) - pole))
@@ -315,25 +340,30 @@ class TestDriveBeyondDoubles:
         assert regime.ratio == pytest.approx(float(ratio), rel=1e-13)
 
     # AB at a phase where i s points along -Re: with |s| just below Omega/2
-    # the larger pole, |s| + sqrt(Omega^2/4 - s^2) of order Omega, overflows
+    # the larger pole, |s| + sqrt(Omega^2/4 - s^2) of order Omega, overflows.
+    # At J = 2^950 the coupling g 2^475 gives the strength |s| ~ g^2/J of g
+    # at J = 1, with g/J and Omega/J inside the domain
     CASE = dict(delta=0.45065641073409457, alpha=0.36824525479162395, k=1.5245685813738654,
-                omega_rabi=1.7816475482415873e+308, g=3.05126856237099e+154)
+                omega_rabi=1.7816475482415873e+308, g=3.05126856237099e+154 * 2.0**475,
+                J=2.0**950)
 
     @pytest.mark.parametrize("scale, field", [(1.0, "omega_rabi"), (2.0, "g")])
     def test_refusal_names_the_larger_term(self, scale, field):
         case = self.CASE
-        emitter = EmitterParams(omega_e=1.5, omega_rabi=case["omega_rabi"],
+        emitter = EmitterParams(omega_e=1.5 * case["J"], omega_rabi=case["omega_rabi"],
                                 g=case["g"] * scale, x1=5)
-        with pytest.raises(ValidationError, match=rf"^{field} out of range"):
-            poles(CouplingConfig(Variant.AB, case["alpha"]), WaveguideParams(case["delta"]),
-                  emitter, case["k"])
+        with pytest.raises(ValidationError, match=rf"^{field} out of range.*overflows"):
+            poles(CouplingConfig(Variant.AB, case["alpha"]),
+                  WaveguideParams(case["delta"], J=case["J"]), emitter, case["k"])
 
-    def test_ratio_where_the_strength_is_subnormal(self, trivial_chain, config_a, resonant_k):
-        # s ~ g^2 is subnormal while Omega/2 over it is a normal double
-        emitter = EmitterParams(omega_e=1.5, omega_rabi=6.5e-142, g=6.8e-157, x1=5)
-        ratio = classify_regime(config_a, trivial_chain, emitter, resonant_k).ratio
-        assert ratio == pytest.approx(
-            ratio_reference(config_a, trivial_chain, emitter, resonant_k), rel=1e-9)
+    @pytest.mark.parametrize("g, drive", [(2.0**-100, 2.0**100), (2.0**100, 2.0**-100)])
+    def test_ratio_at_the_domain_ends(self, trivial_chain, config_a, resonant_k, g, drive):
+        # the ratio spans about 2^+-300, and the regime labels follow it
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=drive, g=g, x1=5)
+        regime = classify_regime(config_a, trivial_chain, emitter, resonant_k)
+        assert regime.ratio == pytest.approx(
+            ratio_reference(config_a, trivial_chain, emitter, resonant_k), rel=1e-13)
+        assert regime.label == ("ats" if drive > g else "lorentzian")
 
 
 class TestRegimeReference:
