@@ -36,7 +36,7 @@ from .errors import (
     PotentialSingularityError,
     ValidationError,
 )
-from .params import Band, CouplingConfig, EmitterParams, WaveguideParams, in_units_of_j
+from .params import Band, CouplingConfig, EmitterParams, WaveguideParams, cell_index, in_units_of_j
 
 #: population threshold below which the emitter counts as empty
 EMITTER_EMPTY = 1e-6
@@ -46,6 +46,8 @@ WINDOW_CLEAR = 5e-3
 END_LEAK = 1e-4
 #: Chebyshev terms held at once by :func:`evolve`, summed by one product
 _BLOCK = 16
+#: largest |w t| of an :func:`evolve` step, about as many terms: a 2^19-sample FFT, 20 MiB at peak
+_MAX_WT = 2.0**17
 #: complex entries of psi per chunk of a solve over an array of energies: at
 #: 512 kB an array, the few that a residual pass holds stay in a core's L2
 #: cache (2^18 took about 1.8 times as long per energy at N = 32 and 512 on
@@ -55,13 +57,13 @@ _CHUNK = 1 << 15
 
 @dataclass(frozen=True)
 class LatticeHamiltonian:
-    """Single-excitation Hamiltonian on the basis [A1, B1, ..., AN, BN, e, a],
-    stored as its diagonal ``onsite``, the ``bonds`` between neighbors in
-    that order (-t1/-t2 alternating, 0 from BN to e, Omega/2 from e to a),
-    and the ``couplings`` (g1, g2) of e to the two ``sites`` of the coupling cell.
-    Single-site variants are alpha = 1 or 0: one of the couplings is exactly
-    0 and contributes nothing.  What depends on H alone is built on first use
-    and kept; :func:`build_hamiltonian` makes the arrays read-only."""
+    """Single-excitation Hamiltonian H/J, its times in units of 1/J, on the basis
+    [A1, B1, ..., AN, BN, e, a]: the diagonal ``onsite``, the ``bonds`` between neighbors
+    in that order (-t1/J, -t2/J alternating, 0 from BN to e, Omega/2J from e to a) and
+    the ``couplings`` (g1, g2)/J of e to the two ``sites`` of cell x1.  Single-site
+    variants are alpha = 1 or 0: one coupling is exactly 0 and contributes nothing.
+    What depends on H alone is built on first use and kept; :func:`build_hamiltonian`
+    makes the arrays read-only."""
 
     onsite: np.ndarray
     bonds: np.ndarray
@@ -163,26 +165,22 @@ def build_hamiltonian(
     emitter: EmitterParams,
     config: CouplingConfig,
 ) -> LatticeHamiltonian:
-    """Assemble the (2N+2)-dimensional single-excitation Hamiltonian."""
-    return _assemble(n_cells, emitter.x1, (params.t1, params.t2),
-                     (emitter.omega_e, emitter.omega_a), emitter.omega_rabi,
-                     config.couplings(emitter.g))
-
-
-def _assemble(n_cells, x1, hoppings, levels, omega_rabi, couplings) -> LatticeHamiltonian:
-    """The Hamiltonian from its entries: the hoppings (t1, t2), the levels
-    of e and a, the drive and the couplings (g1, g2) of e to cell x1."""
+    """The (2N+2)-dimensional H/J of every lattice route, its times in units of 1/J:
+    hoppings -(1 +- delta), levels omega_e/J and omega_e/J - delta_c/J, drive and
+    couplings from :func:`~sshscatter.params.in_units_of_j` (exact at J = 2^n)."""
     n = _cell_count(n_cells)
+    x1 = cell_index(emitter.x1)
     if not 1 <= x1 <= n:
         raise PlacementError(f"coupling cell x1 = {x1} outside chain of {n} cells")
+    omega_e, delta_c, omega_rabi, g = in_units_of_j(params, emitter)
     onsite = np.zeros(2 * n + 2)
-    onsite[2 * n :] = levels
+    onsite[2 * n :] = omega_e, omega_e - delta_c
     bonds = np.zeros(2 * n + 1)
-    bonds[0 : 2 * n : 2] = -hoppings[0]
-    bonds[1 : 2 * n - 1 : 2] = -hoppings[1]
+    bonds[0 : 2 * n : 2] = -(1.0 + params.delta)
+    bonds[1 : 2 * n - 1 : 2] = -(1.0 - params.delta)
     bonds[2 * n] = omega_rabi / 2.0
     sites = np.array([2 * x1 - 2, 2 * x1 - 1])
-    couplings = np.array(couplings)
+    couplings = np.array(config.couplings(g))
     for field in (onsite, bonds, sites, couplings):
         field.setflags(write=False)
     return LatticeHamiltonian(onsite, bonds, sites, couplings)
@@ -286,9 +284,9 @@ def boundary_matched_solve(
     the full system, so both are singular at the same energies.  An emitter
     level with no path to the chain (e without couplings, a without the
     drive or without e) is pinned to psi = 0, the solution; its row would
-    be empty at its own energy.  The system is H/J at omega/J, its entries
-    from :func:`~sshscatter.params.in_units_of_j` (exact at J = 2^n, and no
-    product of them leaves the normal doubles).  The residual is J times
+    be empty at its own energy.  The system is the H/J of
+    :func:`build_hamiltonian` at omega/J (exact at J = 2^n, and no product
+    of its entries leaves the normal doubles).  The residual is J times
     the largest violation of (H/J - omega/J) psi = 0 over every row of H but
     A_1 and B_N, so it also checks the Bloch waves on every free row of the
     chain.
@@ -306,15 +304,13 @@ def boundary_matched_solve(
     n = _cell_count(n_cells)
     if n < 8:
         raise ValidationError(f"n_cells = {n} too small for boundary matching (need >= 8)")
-    x1 = emitter.x1
+    x1 = cell_index(emitter.x1)
     if not 4 <= x1 <= n - 3:
         raise PlacementError(
             f"x1 = {x1} too close to a chain end for N = {n} (need 4 <= x1 <= N-3)"
         )
-    omega_e, delta_c, omega_rabi, g = in_units_of_j(params, emitter)
+    ham = build_hamiltonian(n, params, emitter, config)
     j = params.J
-    ham = _assemble(n, x1, (1.0 + params.delta, 1.0 - params.delta),
-                    (omega_e, omega_e - delta_c), omega_rabi, config.couplings(g))
     if isinstance(omega, numbers.Real):
         k = momentum_from_energy(omega, params, band)
         omega = float(omega)
@@ -410,7 +406,8 @@ def _chebyshev_coefficients(x: float) -> np.ndarray:
 
 def evolve(state: np.ndarray, ham: LatticeHamiltonian, t: float) -> np.ndarray:
     """Unitary evolution exp(-i H t) by a Chebyshev expansion (Tal-Ezer and
-    Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+    Kosloff, J. Chem. Phys. 81, 3967 (1984)), t in units of 1/J for the H/J
+    of :func:`build_hamiltonian`.
 
     With the spectrum in [-w, w] (Gershgorin bounds about zero) and X = H/w,
     exp(-i H t) = sum_k a_k T_k(X), a_k from :func:`_chebyshev_coefficients`
@@ -430,6 +427,9 @@ def evolve(state: np.ndarray, ham: LatticeHamiltonian, t: float) -> np.ndarray:
     about 1.45 times; on the chains of ``validate`` the two are the same.
     """
     half, bonds, (d_e, d_a), links = ham._chebyshev
+    if not abs(half * t) <= _MAX_WT:
+        raise ValidationError(f"evolve step t = {float(t)!r} out of range: w t = "
+                              f"{float(half * t)!r} must be finite, |w t| <= {_MAX_WT:g}")
     coeffs = _chebyshev_coefficients(half * t)
     block = np.empty((_BLOCK, ham.dim), dtype=complex)
     rows = [(flat, flat[:-2], flat[2:], memoryview(flat)) for flat in block.view(np.float64)]
@@ -557,7 +557,7 @@ def wavepacket_transport(
     n_cells = _cell_count(n_cells)
     if n_cells < 10 * sigma_x:
         raise ValidationError(f"n_cells = {n_cells} < 10 sigma_x = {10 * sigma_x}")
-    x1 = emitter.x1
+    x1 = cell_index(emitter.x1)
     start_offset = int(round(3.5 * sigma_x))
     center = x1 - start_offset
     if center - 2 * sigma_x < 1:
@@ -569,7 +569,7 @@ def wavepacket_transport(
             f"no room right of x1 = {x1} to clear the emitter on {n_cells} cells"
         )
     ham = build_hamiltonian(n_cells, params, emitter, config)
-    speed = group_velocity(k0, params)
+    speed = group_velocity(k0, WaveguideParams(params.delta))
     window = int(round(2.0 * sigma_x))
     t_clear = (start_offset + 2.0 * sigma_x) / speed
     step = sigma_x / (2.0 * speed)
@@ -583,7 +583,7 @@ def wavepacket_transport(
         if max(end_l, end_r) > END_LEAK:
             raise ChainTooShortError(
                 f"packet reached a chain end (probabilities {end_l:.2e}/{end_r:.2e}) "
-                f"at t = {t:.6g} after {i + 1} steps "
+                f"at t = {t / params.J:.6g} after {i + 1} steps "
                 f"with near-emitter probability still {near:.2e}"
             )
         if epop < EMITTER_EMPTY and near < WINDOW_CLEAR:
@@ -596,7 +596,7 @@ def wavepacket_transport(
         sigma_x=sigma_x,
         n_cells=n_cells,
         x1=x1,
-        time=t,
+        time=t / params.J,
         transmitted=right,
         reflected=left,
         residual=middle + epop,

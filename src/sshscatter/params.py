@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -150,6 +151,14 @@ def in_units_of_j(
     return ratios
 
 
+def cell_index(x1) -> int:
+    """``x1`` as an int where it is integral (200.0 too, a bool not), else ValidationError."""
+    if not isinstance(x1, bool) and isinstance(x1, numbers.Real) and (
+            isinstance(x1, numbers.Integral) or float(x1).is_integer()):
+        return int(x1)
+    raise ValidationError(f"x1 must be an integer cell index, got {x1!r}")
+
+
 def validate(
     params: WaveguideParams,
     emitter: EmitterParams,
@@ -161,22 +170,18 @@ def validate(
     infinite energy too, and an energy outside the domain of
     :func:`in_units_of_j`).
     """
-    for name, value in (("J", params.J), ("omega_e", emitter.omega_e),
-                        ("delta_c", emitter.delta_c), ("omega_rabi", emitter.omega_rabi),
-                        ("g", emitter.g)):
+    for name, value in (("omega_e", emitter.omega_e), ("delta_c", emitter.delta_c),
+                        ("omega_rabi", emitter.omega_rabi), ("g", emitter.g)):
         if not math.isfinite(value):
             raise ValidationError(f"{name} out of range: {value} (must be finite)")
-    if not params.J > 0.0:
-        raise ValidationError(f"J out of range: {params.J} (must be > 0)")
+    in_units_of_j(params, emitter)  # J, then the domain of the four energies
     if not -1.0 <= params.delta <= 1.0:
         raise ValidationError(f"delta out of range: {params.delta} (must be in [-1, 1])")
     if emitter.omega_rabi < 0.0:
         raise ValidationError(f"omega_rabi out of range: {emitter.omega_rabi} (must be >= 0)")
     if emitter.g < 0.0:
         raise ValidationError(f"g out of range: {emitter.g} (must be >= 0)")
-    in_units_of_j(params, emitter)
-    if isinstance(emitter.x1, bool) or emitter.x1 != int(emitter.x1):
-        raise ValidationError(f"x1 must be an integer cell index, got {emitter.x1!r}")
+    cell_index(emitter.x1)
     if not 0.0 <= config.alpha <= 1.0:
         raise ValidationError(f"alpha out of range: {config.alpha} (must be in [0, 1])")
     if config.variant is Variant.A and config.alpha != 1.0:
@@ -200,12 +205,6 @@ def validate(
     return ModelParams(params, emitter, config, tuple(notes))
 
 
-def _strict_int(value) -> int:
-    if isinstance(value, bool) or float(value) != int(float(value)):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(float(value))
-
-
 # JSON parameter schema: field name -> (converter, default).
 _SCHEMA = {
     "J": (float, 1.0),
@@ -216,7 +215,7 @@ _SCHEMA = {
     "g": (float, 0.2),
     "alpha": (float, None),
     "config": (str, "A"),
-    "x1": (_strict_int, 5),
+    "x1": (cell_index, 5),
 }
 
 

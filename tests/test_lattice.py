@@ -3,6 +3,7 @@ import cmath
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -30,6 +31,7 @@ from sshscatter import (
     momentum_from_energy,
     momentum_grid,
     transmittance,
+    validate,
     wavepacket_transport,
 )
 from sshscatter.errors import (
@@ -165,6 +167,65 @@ class TestBuildHamiltonian:
         # band edges are approached as the chain grows
         assert np.min(np.abs(vals)) - 1.0 < 5e-3
         assert 2.0 - np.max(np.abs(vals)) < 5e-3
+
+    @pytest.mark.parametrize("j", [0.7, 2.0**-1000, 2.0**1023], ids=["0.7", "2^-1000", "2^1023"])
+    def test_matrix_is_in_units_of_j(self, topological_chain, j):
+        # every route reads H/J: the hoppings are -(1 +- delta) and each
+        # energy is its ratio to J, so at J = 2^n the matrix is the J = 1
+        # one exactly, where omega_a = 2 J would overflow in absolute units
+        emitter = EmitterParams(omega_e=1.875, delta_c=-0.125, omega_rabi=0.3, g=0.2, x1=4)
+        config = CouplingConfig(Variant.AB, 0.3)
+        unit = build_hamiltonian(10, topological_chain, emitter, config).matrix
+        scaled = build_hamiltonian(
+            10, WaveguideParams(delta=-0.5, J=j),
+            EmitterParams(omega_e=1.875 * j, delta_c=-0.125 * j, omega_rabi=0.3 * j,
+                          g=0.2 * j, x1=4), config).matrix
+        if math.log2(j).is_integer():
+            assert np.array_equal(scaled, unit)
+        else:
+            np.testing.assert_allclose(scaled, unit, rtol=1e-15, atol=0)
+        assert np.all(np.diag(scaled, 1)[:19] == np.where(np.arange(19) % 2, -1.5, -0.5))
+
+
+class TestCouplingCellIndex:
+    """Both lattice routes take x1 as ``params.validate`` does: an integral
+    value is that cell, anything else a ValidationError naming x1."""
+
+    @staticmethod
+    def _emitter(x1):
+        return EmitterParams(omega_e=1.5, omega_rabi=0.4, g=0.2, x1=x1)
+
+    def test_integral_float_is_the_cell(self, trivial_chain, config_a):
+        # 200.0 passes validate; it used to end in IndexError in the
+        # transport and TypeError in the solve
+        validate(trivial_chain, self._emitter(200.0), config_a)
+        def solve(omega, x1):
+            return boundary_matched_solve(omega, 400, trivial_chain, self._emitter(x1), config_a)
+
+        assert solve(1.6, 200.0) == solve(1.6, 200)
+        for a, b in zip(solve(np.array([1.45, 1.6]), 200.0), solve(np.array([1.45, 1.6]), 200)):
+            assert np.array_equal(a, b)
+        k0 = momentum_from_energy(1.5, trivial_chain)
+        runs = [wavepacket_transport(k0, 20.0, 400, trivial_chain, self._emitter(x1), config_a)
+                for x1 in (200, 200.0, np.int64(200))]
+        assert runs[1] == runs[0] == runs[2] and runs[1].x1 == 200
+        assert isinstance(runs[1].x1, int)
+
+    @pytest.mark.parametrize("x1", [200.5, math.nan, math.inf, True, "200"])
+    def test_other_values_are_named(self, trivial_chain, config_a, x1):
+        emitter = self._emitter(x1)
+        k0 = momentum_from_energy(1.5, trivial_chain)
+        calls = [
+            lambda: validate(trivial_chain, emitter, config_a),
+            lambda: build_hamiltonian(400, trivial_chain, emitter, config_a),
+            lambda: boundary_matched_solve(1.6, 400, trivial_chain, emitter, config_a),
+            lambda: boundary_matched_solve(np.array([1.6]), 400, trivial_chain, emitter,
+                                           config_a),
+            lambda: wavepacket_transport(k0, 20.0, 400, trivial_chain, emitter, config_a),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=r"^x1 must be an integer cell index"):
+                call()
 
 
 class TestBoundaryMatchedSolve:
@@ -508,6 +569,8 @@ class TestArraySolve:
         for omega in (1.5, np.array([1.4, 1.5])):
             with pytest.raises(ValidationError, match=rf"^{field} out of range"):
                 boundary_matched_solve(omega, 32, trivial_chain, emitter, config)
+        with pytest.raises(ValidationError, match=rf"^{field} out of range"):
+            build_hamiltonian(32, trivial_chain, emitter, config)
 
     @pytest.mark.parametrize("omega_rabi", [2.0**-100, 1e-20])
     @pytest.mark.parametrize("variant", list(Variant))
@@ -707,6 +770,26 @@ class TestEvolve:
         assert np.array_equal(evolve(psi, ham, 3.7), first)
         assert np.array_equal(ham.apply(psi), fresh().apply(psi))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 2.0**60, -1e6])
+    def test_step_out_of_range_is_named(self, trivial_chain, resonant_emitter, config_a, t):
+        # refused before the expansion is built: at |w t| = 2^60 its order
+        # loop would take about 1e7 passes before a 2^62-sample FFT
+        ham = build_hamiltonian(12, trivial_chain, resonant_emitter, config_a)
+        named = rf"^evolve step t = {re.escape(repr(t))} .* w t = "
+        with pytest.raises(ValidationError, match=named):
+            evolve(np.eye(ham.dim)[0], ham, t)
+
+    def test_step_at_a_far_detuned_emitter_is_named(self, trivial_chain, config_a):
+        # omega_e = 2^100 J is inside the domain, but no step of the
+        # transport fits its Chebyshev interval
+        emitter = EmitterParams(omega_e=2.0**100, g=0.2, x1=200)
+        ham = build_hamiltonian(400, trivial_chain, emitter, config_a)
+        with pytest.raises(ValidationError, match=r"^evolve step t = 1\.0 "):
+            evolve(np.eye(ham.dim)[0], ham, 1.0)
+        k0 = momentum_from_energy(1.5, trivial_chain)
+        with pytest.raises(ValidationError, match=r"^evolve step t = "):
+            wavepacket_transport(k0, 20.0, 400, trivial_chain, emitter, config_a)
+
     def test_long_run_norm(self, trivial_chain, config_a):
         emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=200)
         ham = build_hamiltonian(400, trivial_chain, emitter, config_a)
@@ -786,17 +869,30 @@ class TestWavepacket:
         assert run.transmitted > 0.95
         assert abs(run.transmitted - avg) < 2e-2
 
-    @pytest.mark.parametrize("exponent", [-50, 600])
-    def test_exact_under_power_of_two_scale(self, config_ab, exponent):
-        # the group velocity and the packet's Bloch phases are formed in
-        # units of J, so at J = 2^n every energy, time and step scales exactly
-        def transmitted(j):
-            wg = WaveguideParams(delta=-0.5, J=j)
-            emitter = EmitterParams(omega_e=1.5 * j, omega_rabi=0.4 * j, g=0.2 * j, x1=200)
-            k0 = momentum_from_energy(1.5 * j, wg)
-            return wavepacket_transport(k0, 20.0, 400, wg, emitter, config_ab).transmitted
+    _AB = (Variant.AB, -0.5, 1.5, 0.0, 1.5)
 
-        assert transmitted(2.0**exponent) == transmitted(1.0)
+    @pytest.mark.parametrize("exponent, case", [
+        pytest.param(-50, _AB, id="-50"),
+        pytest.param(600, _AB, id="600"),
+        # omega_e - delta_c = 2 J, which overflows in absolute units
+        pytest.param(1023, (Variant.A, 0.5, 1.875, -0.125, 1.62), id="1023"),
+    ])
+    def test_exact_under_power_of_two_scale(self, exponent, case):
+        # the run evolves H/J with the speed in cells per 1/J, and the
+        # packet's Bloch phases are formed in units of J, so at J = 2^n it is
+        # the J = 1 run and only its reported time scales
+        variant, delta, omega_e, delta_c, carrier = case
+
+        def run(j):
+            wg = WaveguideParams(delta=delta, J=j)
+            emitter = EmitterParams(omega_e=omega_e * j, delta_c=delta_c * j,
+                                    omega_rabi=0.4 * j, g=0.2 * j, x1=200)
+            k0 = momentum_from_energy(carrier * j, wg)
+            return wavepacket_transport(k0, 20.0, 400, wg, emitter, CouplingConfig(variant))
+
+        scaled, unit = run(2.0**exponent), run(1.0)
+        assert (scaled.transmitted, scaled.reflected) == (unit.transmitted, unit.reflected)
+        assert scaled.time * 2.0**exponent == unit.time
 
     def test_repeated_runs_are_identical(self, trivial_chain, topological_chain, config_ab):
         # the memoised coefficients must not make a run depend on the runs before it

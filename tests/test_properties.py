@@ -38,6 +38,7 @@ from sshscatter import (  # noqa: E402
     bloch_eigenvectors,
     bloch_point,
     boundary_matched_solve,
+    build_hamiltonian,
     classify_regime,
     group_velocity,
     lamb_shift,
@@ -292,8 +293,9 @@ def outside_the_domain(draw):
 def test_out_of_domain_draw_is_refused_alike_by_every_route(drawn):
     """A field outside the domain gets one ValidationError, naming it, from
     validate and from every route that reads the emitter: both closed
-    forms, the grid, the check route, the poles, the regime, the Lamb shift
-    and the lattice (scalar and array)."""
+    forms, the grid, the check route, the poles, the regime, the Lamb shift,
+    the lattice solve (scalar and array) and the lattice Hamiltonian of the
+    transport."""
     (config, omega, wg, emitter, band), field = drawn
     with pytest.raises(ValidationError, match=rf"^{field} out of range") as err:
         validate(wg, emitter, config)
@@ -308,6 +310,7 @@ def test_out_of_domain_draw_is_refused_alike_by_every_route(drawn):
         lambda: classify_regime(config, wg, emitter, k),
         lambda: boundary_matched_solve(omega, 32, wg, emitter, config, band),
         lambda: boundary_matched_solve(np.array([omega]), 32, wg, emitter, config, band),
+        lambda: build_hamiltonian(32, wg, emitter, config),
     ]
     if field != "delta_c":
         routes.append(lambda: poles(config, wg, replace(emitter, delta_c=0.0), k))
