@@ -414,8 +414,9 @@ def _cmd_poles(args):
     bundle = _merge_bundle(args)
     omega = args.omega if args.omega is not None else bundle.emitter.omega_e
     k = band_ops.momentum_from_energy(omega, bundle.waveguide)
-    pair = spectra.poles(bundle.coupling, bundle.waveguide, bundle.emitter, k)
-    regime = spectra.classify_regime(bundle.coupling, bundle.waveguide, bundle.emitter, k)
+    band = Band.UPPER if omega > 0.0 else Band.LOWER
+    pair = spectra.poles(bundle.coupling, bundle.waveguide, bundle.emitter, k, band)
+    regime = spectra.classify_regime(bundle.coupling, bundle.waveguide, bundle.emitter, k, band)
     shift = spectra.lamb_shift(bundle.emitter.g, bundle.coupling.alpha, bundle.waveguide)
     header = ["pole_plus", "pole_minus", "regime", "ratio", "lamb_shift"]
     return header, [pair.pole_plus, pair.pole_minus, regime.label, regime.ratio, shift], "json"

@@ -14,10 +14,6 @@ class ValidationError(ModelError):
     """A parameter violates its declared range or consistency rule."""
 
 
-class UnsupportedFeatureError(ModelError):
-    """The parameter combination is valid physics but outside this version."""
-
-
 class OutOfBandError(ModelError):
     """Requested energy lies outside the propagating bands.
 

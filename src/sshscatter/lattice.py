@@ -548,7 +548,7 @@ def wavepacket_transport(
     reported as residual.  The chain is the only limit on a run: the carrier
     window on a dispersive band keeps v > 0, so a packet that has not cleared
     reaches a chain end within about 2 N / sigma_x steps, and
-    :class:`ChainTooShortError` names t.
+    :class:`ChainTooShortError` names t; a ValidationError names J where t/J overflows.
     """
     _check_packet_width(sigma_x)
     if not 0.2 < k0 < math.pi - 0.2:
@@ -591,6 +591,8 @@ def wavepacket_transport(
     norm_drift = abs(float(np.linalg.norm(psi)) - 1.0)
     if norm_drift > 1e-8:
         raise IntegrationAccuracyError(f"norm drift {norm_drift:.3e} exceeds 1e-8")
+    if not math.isfinite(t / params.J):
+        raise ValidationError(f"J out of range: {params.J} (the run lasts {t:.6g}/J)")
     return WavepacketRun(
         k0=k0,
         sigma_x=sigma_x,

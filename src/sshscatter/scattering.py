@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import h_over_j, momentum_from_energy, momentum_grid, require_dispersive
+from .bands import band_phase, h_over_j, momentum_from_energy, momentum_grid, require_dispersive
 from .errors import DegenerateDenominatorError, PotentialSingularityError
 from .params import Band, CouplingConfig, EmitterParams, WaveguideParams, in_units_of_j
 
@@ -84,9 +84,8 @@ def detuning_response(delta_k: float, delta_c: float, omega_rabi: float) -> floa
     """
     num, den = _potential_terms(delta_k, delta_k + delta_c, omega_rabi, 1.0)
     if den == 0.0 and num != 0.0:
-        # of the roots (-dc +- sqrt(dc^2 + Omega^2))/2, the one on delta_k's side
-        root = math.sqrt(delta_c * delta_c + omega_rabi * omega_rabi)
-        pole = (-delta_c + math.copysign(root, 2.0 * delta_k + delta_c)) / 2.0
+        # the pole equation without coupling (s = 0): the root nearest delta_k
+        pole = min(_pole_roots(0.0, delta_c, omega_rabi / 2.0), key=lambda r: abs(delta_k - r)).real
         raise PotentialSingularityError(
             f"potential pole at delta_k = {pole} (got {delta_k})", pole=pole)
     # den is 0 with num only where Omega^2 underflows at dk = -dc: V = 0
@@ -180,7 +179,7 @@ def transfer_matrix(
     h = h_over_j(k, params)
     require_dispersive(params, k)
     energy = band.sign * abs(h)
-    phi_e = cmath.phase(h / energy)
+    phi_e = band_phase(k, energy, params)
     dk = energy - omega_e
     try:
         pot = effective_potential(dk, delta_c, omega_rabi, g, config.alpha)
@@ -237,6 +236,27 @@ def _potential_terms(delta_k, two_photon, omega_rabi, g):
     return num, den * ((abs(den) >= _POLE_EPS) | (num == 0.0))
 
 
+def _coupling_weight(w1, w2, energy, h_conj):
+    """B = E (w1^2 + w2^2) + 2 w1 w2 h* = E F, the photon's weight in the denominator
+    of :func:`_cell_amplitudes` (F the :func:`interference_factor`); floats or arrays."""
+    return energy * (w1 * w1 + w2 * w2) + 2.0 * w1 * w2 * h_conj
+
+
+def _pole_roots(s, delta_c, half):
+    """(plus, minus) = i s - dc/2 +- sqrt((i s + dc/2)^2 + half^2), the roots
+    of (dk - 2i s)(dk + dc) = half^2 with s = g^2 B / (4 t1 t2 sin k) and
+    half = Omega/2: the larger free of cancellation, the smaller as their
+    product -2i s dc - half^2 over it (0 where that product is 0)."""
+    centre = 1j * s - delta_c / 2.0
+    shifted = s - 0.5j * delta_c  # (i s + dc/2)^2 = -shifted^2
+    root = cmath.sqrt(half * half - shifted * shifted)
+    plus = (centre * root.conjugate()).real >= 0.0
+    larger = centre + root if plus else centre - root
+    product = -2j * s * delta_c - half * half
+    smaller = product / larger if product else 0j
+    return (larger, smaller) if plus else (smaller, larger)
+
+
 def _cell_amplitudes(config, energy, h, phase, params, emitter):
     """Closed-form (t, r) at signed energy ``energy``; floats or arrays.
 
@@ -271,7 +291,7 @@ def _cell_amplitudes(config, energy, h, phase, params, emitter):
     h_conj = h.conjugate()
     s = h - h_conj
     x = (1.0 + params.delta) * den
-    d = s * x + c * (energy * (w1 * w1 + w2 * w2) + 2.0 * w1 * w2 * h_conj)
+    d = s * x + c * _coupling_weight(w1, w2, energy, h_conj)
     b = w1 * h + w2 * energy
     # adding 0j turns an exact zero of t (a pole hit) into +0, not -0
     t = s * (x - c * w1 * w2) / d + 0j

@@ -18,13 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import h_over_j, require_dispersive
-from .errors import (
-    EmptyGridError,
-    UnsupportedFeatureError,
-    ValidationError,
-)
+from .errors import EmptyGridError, ValidationError
 from .params import Band, CouplingConfig, EmitterParams, WaveguideParams, in_units_of_j
-from .scattering import amplitude_grid, interference_factor
+from .scattering import _coupling_weight, _pole_roots, amplitude_grid
 
 # Deterministic regime boundaries on the control-field ratio.  The physics
 # only fixes the asymptotic regimes (weak / comparable / strong control
@@ -78,14 +74,14 @@ class LineshapeFeature:
     asymmetry: float
 
 
-def _pole_terms(config, params, emitter, k):
-    """(s, Omega/2) in units of J: the pole strength and half the drive."""
-    _, _, omega_rabi, g = in_units_of_j(params, emitter)
+def _pole_terms(config, params, emitter, k, band):
+    """(s, delta_c, Omega/2) in units of J, s = g^2 B / (4 t1 t2 sin k) on ``band``."""
+    _, delta_c, omega_rabi, g = in_units_of_j(params, emitter)
     h = h_over_j(k, params)
     require_dispersive(params, k)
-    fac = interference_factor(cmath.phase(h), config.alpha)
+    weight = _coupling_weight(*config.couplings(1.0), band.sign * abs(h), h.conjugate())
     a, b = 1.0 + params.delta, 1.0 - params.delta
-    return g * g * abs(h) * fac / (4.0 * a * b * math.sin(k)), omega_rabi / 2.0
+    return g * g * weight / (4.0 * a * b * math.sin(k)), delta_c, omega_rabi / 2.0
 
 
 def _in_energy(z: complex, params: WaveguideParams) -> complex:
@@ -98,34 +94,27 @@ def poles(
     params: WaveguideParams,
     emitter: EmitterParams,
     k: float,
+    band: Band = Band.UPPER,
 ) -> PolePair:
-    """Detuning-plane poles of the transmission at control-field resonance.
+    """Detuning-plane poles of the transmission at momentum k on ``band``.
 
-    Valid only for ``delta_c = 0``, where the pole equation closes in
-    radicals: ``dk = i s +/- sqrt(Omega^2/4 - s^2)`` with the complex
-    strength ``s = g^2 omega_k F / (4 t1 t2 sin k)``.  Both roots are
-    solved in units of J, the smaller as -(Omega/2)^2 over the larger, and
-    each is multiplied by J once; a pole beyond the range of doubles in
-    absolute units (J is unbounded) raises ValidationError naming g or
-    omega_rabi, whichever term dominates it.
+    The roots of ``(dk - 2i s)(dk + delta_c) = Omega^2/4``, s = g^2 E F /
+    (4 t1 t2 sin k) at the photon's signed energy E: the zeros of the
+    closed form's fixed-k (Markov) denominator, not of the full
+    energy-dependent one (at Omega = 0 the root -delta_c cancels from t).
+    Both are solved in units of J and multiplied by J once; a pole beyond
+    the doubles in absolute units (J is unbounded) raises ValidationError
+    naming g or omega_rabi, whichever term dominates it.
     """
-    if emitter.delta_c != 0.0:
-        raise UnsupportedFeatureError(
-            "closed-form poles require delta_c = 0; sweep the spectrum instead"
-        )
-    strength, half = _pole_terms(config, params, emitter, k)
-    root = cmath.sqrt(half * half - strength * strength)
-    plus = (1j * strength * root.conjugate()).real >= 0.0
-    # the larger root, free of cancellation; their product is -(Omega/2)^2
-    larger = 1j * strength + root if plus else 1j * strength - root
-    pole = _in_energy(larger, params)
-    if not cmath.isfinite(pole):
+    strength, delta_c, half = _pole_terms(config, params, emitter, k, band)
+    plus, minus = _pole_roots(strength, delta_c, half)
+    plus, minus = _in_energy(plus, params), _in_energy(minus, params)
+    if not (cmath.isfinite(plus) and cmath.isfinite(minus)):
         field, order = ("g", "g^2/J") if abs(strength) >= half else ("omega_rabi", "Omega")
         raise ValidationError(
             f"{field} out of range: {getattr(emitter, field)} (a pole, of order {order}, overflows)"
         )
-    smaller = _in_energy(-half * (half / larger), params) if half else 0j
-    return PolePair(pole, smaller) if plus else PolePair(smaller, pole)
+    return PolePair(plus, minus)
 
 
 def classify_regime(
@@ -133,14 +122,15 @@ def classify_regime(
     params: WaveguideParams,
     emitter: EmitterParams,
     k: float,
+    band: Band = Band.UPPER,
 ) -> RegimeLabel:
     """Classify the expected lineshape by the control-field strength ratio.
 
-    ratio = |Omega/2| / |s| with the pole strength s of :func:`poles`; below
-    0.25 the response is a single Lorentzian dip, above 4 an Autler-Townes
-    doublet, in between a transparency window.
+    ratio = |Omega/2| / |s| with the pole strength s of :func:`poles` on
+    ``band``; below 0.25 the response is a single Lorentzian dip, above 4
+    an Autler-Townes doublet, in between a transparency window.
     """
-    strength, half = _pole_terms(config, params, emitter, k)
+    strength, _, half = _pole_terms(config, params, emitter, k, band)
     if half == 0.0:
         ratio = 0.0
     elif strength == 0.0:

@@ -133,6 +133,28 @@ class TestPolesCommand:
         assert payload["regime"] in {"lorentzian", "eit", "ats"}
         assert len(payload["pole_plus"]) == 2
 
+    def test_negative_probe_takes_the_lower_band_pole(self, capsys):
+        # the pole once came from the upper band whatever the probe's sign
+        # (Im +1.86e-3); the lower-band dip's width is 2 |Im| of its own pole
+        flags = ["--config", "AB", "--alpha", "0.3", "--g", "0.1", "--omega-e", "-1.5",
+                 "--omega-rabi", "0"]
+        assert run(["poles", *flags, "--omega", "-1.5"]) == 0
+        pole = complex(*json.loads(capsys.readouterr().out)["pole_plus"])
+        assert pole.imag == pytest.approx(-9.905e-3, rel=1e-3)
+        assert run(["features", *flags, "--band", "lower", "--dk-min", "-0.1",
+                    "--dk-max", "0.1", "--dk-steps", "4001"]) == 0
+        (dip,) = json.loads(capsys.readouterr().out)
+        assert dip["position"] == pytest.approx(pole.real, abs=1e-12)
+        assert dip["fwhm"] == pytest.approx(2.0 * abs(pole.imag), rel=1e-2)
+
+    def test_detuned_control(self, capsys):
+        # once refused with exit 2; at Omega = 0 the roots are 2i s and -dc
+        assert run(["poles", "--config", "A", "--delta-c", "0.1", "--omega-rabi", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        roots = {complex(*payload["pole_plus"]), complex(*payload["pole_minus"])}
+        assert min(abs(root + 0.1) for root in roots) <= 1e-13
+        assert any(abs(root.real) <= 1e-13 and root.imag > 0.0 for root in roots)
+
 
 class TestFeaturesCommand:
     def test_ats_doublet(self, tmp_path):

@@ -894,6 +894,18 @@ class TestWavepacket:
         assert (scaled.transmitted, scaled.reflected) == (unit.transmitted, unit.reflected)
         assert scaled.time * 2.0**exponent == unit.time
 
+    def test_time_beyond_the_doubles_names_j(self):
+        # the _AB run lasts about 304/J, beyond the doubles at J = 2^-1018,
+        # where it once returned time = inf with T = 0.99994 and no error
+        variant, delta, omega_e, delta_c, carrier = self._AB
+        j = 2.0**-1018
+        wg = WaveguideParams(delta=delta, J=j)
+        emitter = EmitterParams(omega_e=omega_e * j, delta_c=delta_c * j, omega_rabi=0.4 * j,
+                                g=0.2 * j, x1=200)
+        k0 = momentum_from_energy(carrier * j, wg)
+        with pytest.raises(ValidationError, match=r"^J out of range: .* lasts 304\.\d+/J"):
+            wavepacket_transport(k0, 20.0, 400, wg, emitter, CouplingConfig(variant))
+
     def test_repeated_runs_are_identical(self, trivial_chain, topological_chain, config_ab):
         # the memoised coefficients must not make a run depend on the runs before it
         def run(chain, omega_rabi):
@@ -981,6 +993,50 @@ def test_no_scale_branch_in_the_numerics(module):
     names |= {alias.name for node in ast.walk(source) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
     assert not names & {"frexp", "ldexp", "errstate"}
+
+
+def _is_sum_of_squares(node):
+    """True for ``a * a + b * b`` with plain names a and b."""
+    def square(term):
+        return (isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult)
+                and isinstance(term.left, ast.Name) and isinstance(term.right, ast.Name)
+                and term.left.id == term.right.id)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and square(node.left) and square(node.right))
+
+
+def test_one_weight_and_one_pole_equation():
+    # t's fixed-k denominator is written once, in scattering: the weight
+    # B = E (w1^2 + w2^2) + 2 w1 w2 h* in _coupling_weight and the roots of
+    # the pole quadratic, the one square root of a variable, in _pole_roots.
+    # The poles, the regime and the potential's pole read them, and the
+    # band phase is bands.band_phase alone.  The lattice, the independent
+    # oracle, is not scanned.
+    package = Path(sshscatter.lattice.__file__).parent
+    weights, roots, phases = [], [], []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "lattice":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            for node in ast.walk(func):
+                where = (path.stem, func.name)
+                if _is_sum_of_squares(node):
+                    weights.append(where)
+                if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sqrt"
+                        and not isinstance(node.args[0], ast.Constant)):
+                    roots.append(where)
+                if (isinstance(node, ast.Attribute) and node.attr == "phase"
+                        and getattr(node.value, "id", None) == "cmath"):
+                    phases.append(where)
+        if path.stem == "spectra":
+            assert "interference_factor" not in {
+                node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            } | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+    assert weights == [("scattering", "_coupling_weight")]
+    assert roots == [("scattering", "_pole_roots")]
+    assert {module for module, _ in phases} == {"bands"}
 
 
 def test_package_import_loads_no_heavy_dependency():

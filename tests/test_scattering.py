@@ -96,6 +96,17 @@ class TestEffectivePotential:
             effective_potential(-0.1, 0.0, 0.2, 0.2)
         assert err.value.pole == pytest.approx(-0.1)
 
+    def test_pole_beside_a_detuned_control_keeps_its_digits(self):
+        # delta_c >> Omega: the root on delta_k's side, about Omega^2/(4 dc),
+        # once lost 2.0e-9 of itself to cancellation in -dc/2 + sqrt(...)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            dc, half = mp.mpf(0.1), mp.mpf(1e-5) / 2
+            root = -dc / 2 + mp.sqrt(dc**2 / 4 + half**2)
+        with pytest.raises(PotentialSingularityError) as err:
+            detuning_response(float(root), 0.1, 1e-5)
+        assert abs(err.value.pole - root) <= 1e-14 * root
+
     def test_response_examples(self):
         assert detuning_response(-0.1, 0.1, 0.2) == pytest.approx(0.0, abs=1e-15)
         assert detuning_response(0.1, 0.0, 0.0) == pytest.approx(2.5, abs=1e-12)

@@ -13,6 +13,7 @@ from sshscatter import (
     WaveguideParams,
     ats_dip_positions,
     band_edges,
+    band_phase,
     bloch_point,
     classify_regime,
     extract_features,
@@ -32,7 +33,6 @@ from sshscatter.errors import (
     EmptyGridError,
     ModelError,
     OutOfBandError,
-    UnsupportedFeatureError,
     ValidationError,
 )
 from sshscatter.spectra import LineshapeFeature, SpectrumGrid, _half_crossing
@@ -141,10 +141,25 @@ class TestPoles:
             with pytest.raises(ValidationError, match=r"^omega_rabi out of range"):
                 route(config_a, trivial_chain, emitter, resonant_k)
 
-    def test_detuned_control_unsupported(self, trivial_chain, config_a, resonant_k):
-        emitter = EmitterParams(omega_e=1.5, delta_c=0.1, g=0.2, x1=5)
-        with pytest.raises(UnsupportedFeatureError):
-            poles(config_a, trivial_chain, emitter, resonant_k)
+    @pytest.mark.parametrize("config", [CouplingConfig(Variant.A), CouplingConfig(Variant.B),
+                                        CouplingConfig(Variant.AB, 0.3)], ids=["A", "B", "AB"])
+    @pytest.mark.parametrize("band", list(Band))
+    @pytest.mark.parametrize("delta_c", [0.1, -0.03, 1e-6])
+    @pytest.mark.parametrize("drive", [0.0, 1e-5, 0.05, 0.4])
+    def test_detuned_control_matches_the_textbook(self, trivial_chain, config, band, delta_c,
+                                                  drive):
+        # both roots of (dk - 2i s)(dk + dc) = Omega^2/4, s at the band's
+        # energy, to the 50-digit roots, each relative to itself; each zeroes
+        # the closed form's denominator D at this k
+        k = momentum_from_energy(1.5, trivial_chain)
+        emitter = EmitterParams(omega_e=1.5 * band.sign, delta_c=delta_c, omega_rabi=drive,
+                                g=0.2, x1=5)
+        pair = poles(config, trivial_chain, emitter, k, band)
+        s, roots = textbook_poles(config, trivial_chain, emitter, k, band)
+        for pole, root in zip((pair.pole_plus, pair.pole_minus), roots):
+            assert abs(complex(root) - pole) <= 1e-14 * abs(complex(root))
+            step = newton_step(config, trivial_chain, emitter, k, band, pole)
+            assert abs(step) <= 1e-14 * abs(pole)
 
 
 class TestRegime:
@@ -216,22 +231,49 @@ def ratio_reference(config, params, emitter, k):
     )
 
 
-def textbook_poles(config, params, emitter, k):
-    """(s, roots) in 50 digits, in absolute units: s = g^2 omega_k F /
-    (4 t1 t2 sin k) and the roots i s +/- sqrt(Omega^2/4 - s^2) of
-    dk^2 - 2 i s dk - Omega^2/4 = 0, the smaller as -(Omega/2)^2 over the
-    larger (their difference would cancel all 50 digits at g = 0.2)."""
+def _textbook_cell(config, params, k, band):
+    """(t1, t2, h, B) in 50 digits, in absolute units: the hoppings, h(k) and
+    the weight B = E (w1^2 + w2^2) + 2 w1 w2 h* at the band's signed energy E."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         j, delta, k = mp.mpf(params.J), mp.mpf(params.delta), mp.mpf(k)
         t1, t2 = j * (1 + delta), j * (1 - delta)
         h = -t1 - t2 * mp.exp(-1j * k)
-        alpha = mp.mpf(config.alpha)
-        fac = 2 * alpha * (1 - alpha) * (mp.exp(-1j * mp.arg(h)) - 1) + 1
-        s = mp.mpf(emitter.g) ** 2 * abs(h) * fac / (4 * t1 * t2 * mp.sin(k))
-        half = mp.mpf(emitter.omega_rabi) / 2
-        larger = max((1j * s + sign * mp.sqrt(half**2 - s**2) for sign in (1, -1)), key=abs)
-        return s, (larger, -half**2 / larger)
+        w1, w2 = mp.mpf(config.alpha), 1 - mp.mpf(config.alpha)
+        return t1, t2, h, band.sign * abs(h) * (w1**2 + w2**2) + 2 * w1 * w2 * mp.conj(h)
+
+
+def textbook_poles(config, params, emitter, k, band=Band.UPPER):
+    """(s, (plus, minus)) in 50 digits, in absolute units: s = g^2 B /
+    (4 t1 t2 sin k) and the roots i s - dc/2 +/- sqrt((i s + dc/2)^2 + Omega^2/4)
+    of (dk - 2i s)(dk + dc) = Omega^2/4, the smaller as their product
+    -2i s dc - Omega^2/4 over the larger (their difference would cancel
+    all 50 digits at g = 0.2)."""
+    mp = pytest.importorskip("mpmath")
+    t1, t2, h, weight = _textbook_cell(config, params, k, band)
+    with mp.workdps(50):
+        s = mp.mpf(emitter.g) ** 2 * weight / (4 * t1 * t2 * mp.sin(mp.mpf(k)))
+        dc, half = mp.mpf(emitter.delta_c), mp.mpf(emitter.omega_rabi) / 2
+        root = mp.sqrt((1j * s + dc / 2) ** 2 + half**2)
+        plus, minus = 1j * s - dc / 2 + root, 1j * s - dc / 2 - root
+        product = -2j * s * dc - half**2
+        if abs(plus) >= abs(minus):
+            return s, (plus, product / plus if product else mp.mpc(0))
+        return s, (product / minus if product else mp.mpc(0), minus)
+
+
+def newton_step(config, params, emitter, k, band, dk):
+    """D/D' in 50 digits, D the closed form's denominator at momentum k as
+    a function of the detuning dk: D = (h - h*) t1 (4 dk (dk + dc) - Omega^2)
+    + 4 g^2 (dk + dc) B.  Next to a simple zero it is dk less that zero."""
+    mp = pytest.importorskip("mpmath")
+    t1, _, h, weight = _textbook_cell(config, params, k, band)
+    with mp.workdps(50):
+        dk, dc = mp.mpc(dk), mp.mpf(emitter.delta_c)
+        drive, g = mp.mpf(emitter.omega_rabi), mp.mpf(emitter.g)
+        sk = (h - mp.conj(h)) * t1
+        d = sk * (4 * dk * (dk + dc) - drive**2) + 4 * g**2 * (dk + dc) * weight
+        return d / (sk * (8 * dk + 4 * dc) + 4 * g**2 * weight)
 
 
 class TestTinyJ:
@@ -367,7 +409,10 @@ class TestDriveBeyondTheDomain:
 
 
 class TestRegimeReference:
-    def test_labels_and_ratios_match_the_formula_as_first_written(self):
+    def test_labels_and_ratios_match_the_50_digit_ratio(self):
+        # the ratio |Omega/2| / |s| to 8 eps times the condition number of
+        # B, kappa = (|E| (w1^2 + w2^2) + 2 w1 w2 |h|) / |B| = 1 / |F|
+        mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(5)
         labels = set()
         for _ in range(3000):
@@ -384,11 +429,15 @@ class TestRegimeReference:
                 x1=5,
             )
             out = classify_regime(config, params, emitter, k)
-            reference = ratio_reference(config, params, emitter, k)
-            assert out.ratio == pytest.approx(reference, rel=8 * 2.0**-52)
+            s = textbook_poles(config, params, emitter, k)[0]
+            with mp.workdps(50):
+                reference = float(mp.mpf(emitter.omega_rabi) / 2 / abs(s))
+            kappa = 1.0 / abs(interference_factor(band_phase(k, 1.0, params), alpha))
+            tol = 8 * 2.0**-52 * kappa
+            assert out.ratio == pytest.approx(reference, rel=tol)
             for bound in (0.25, 4.0):
                 # a label may only differ where rounding straddles a bound
-                if abs(reference - bound) > 8 * 2.0**-52 * bound:
+                if abs(reference - bound) > tol * bound:
                     assert (out.ratio < bound) == (reference < bound)
             labels.add(out.label)
         assert labels == {"lorentzian", "eit", "ats"}
