@@ -98,11 +98,21 @@ def band_phase(k, energy, params: WaveguideParams):
     """
     h = h_over_j(k, params)
     if isinstance(k, float):
-        if energy != 0.0 and math.isfinite(energy):
-            return cmath.phase(h if energy > 0.0 else -h)
-    elif np.all(np.isfinite(energy) & (energy != 0.0)):
+        return _phase_of(h, energy)
+    if np.all(np.isfinite(energy) & (energy != 0.0)):
         return np.angle(np.where(energy > 0.0, h, -h))
-    raise ValidationError(f"energy = {energy} has no band phase (must be finite and nonzero)")
+    raise _no_phase(energy)
+
+
+def _phase_of(h, energy: float) -> float:
+    """:func:`band_phase` of a float energy from h(k)/J already formed."""
+    if energy != 0.0 and math.isfinite(energy):
+        return cmath.phase(h if energy > 0.0 else -h)
+    raise _no_phase(energy)
+
+
+def _no_phase(energy) -> ValidationError:
+    return ValidationError(f"energy = {energy} has no band phase (must be finite and nonzero)")
 
 
 def _band_cos(omega, params: WaveguideParams, sign):

@@ -548,7 +548,8 @@ def wavepacket_transport(
     reported as residual.  The chain is the only limit on a run: the carrier
     window on a dispersive band keeps v > 0, so a packet that has not cleared
     reaches a chain end within about 2 N / sigma_x steps, and
-    :class:`ChainTooShortError` names t; a ValidationError names J where t/J overflows.
+    :class:`ChainTooShortError` names t (in units of 1/J where t/J overflows);
+    a ValidationError names J where a finished run's t/J overflows.
     """
     _check_packet_width(sigma_x)
     if not 0.2 < k0 < math.pi - 0.2:
@@ -581,9 +582,10 @@ def wavepacket_transport(
             psi, n_cells, x1, window
         )
         if max(end_l, end_r) > END_LEAK:
+            when = f"{t / params.J:.6g}" if math.isfinite(t / params.J) else f"{t:.6g}/J"
             raise ChainTooShortError(
                 f"packet reached a chain end (probabilities {end_l:.2e}/{end_r:.2e}) "
-                f"at t = {t / params.J:.6g} after {i + 1} steps "
+                f"at t = {when} after {i + 1} steps "
                 f"with near-emitter probability still {near:.2e}"
             )
         if epop < EMITTER_EMPTY and near < WINDOW_CLEAR:

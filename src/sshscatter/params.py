@@ -24,14 +24,15 @@ _RATIO_FIELDS = ("omega_e", "delta_c", "omega_rabi", "g")
 
 
 class Band(enum.Enum):
-    """Selects the positive- or negative-energy branch of the dispersion."""
+    """Selects the positive- or negative-energy branch of the dispersion;
+    ``sign`` (+1 or -1) is a plain member attribute, read at attribute speed
+    by every scalar query."""
 
     UPPER = "upper"
     LOWER = "lower"
 
-    @property
-    def sign(self) -> int:
-        return 1 if self is Band.UPPER else -1
+    def __init__(self, value: str):
+        self.sign = 1 if value == "upper" else -1
 
 
 class Variant(enum.Enum):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import band_phase, h_over_j, momentum_from_energy, momentum_grid, require_dispersive
+from .bands import _phase_of, h_over_j, momentum_from_energy, momentum_grid, require_dispersive
 from .errors import DegenerateDenominatorError, PotentialSingularityError
 from .params import Band, CouplingConfig, EmitterParams, WaveguideParams, in_units_of_j
 
@@ -105,14 +105,13 @@ def effective_potential(
     ``alpha`` splits it over the two sublattice sites of the coupling cell.
     """
     resp = detuning_response(delta_k, delta_c, omega_rabi)
+    return EffectivePotential(4.0 * g * g * resp, resp, *_site_potentials(resp, g, alpha))
+
+
+def _site_potentials(resp: float, g: float, alpha: float) -> tuple[float, float, float]:
+    """(on_a, cross, on_b) = 4 (g1^2, g1 g2, g2^2) resp of :class:`EffectivePotential`."""
     g1, g2 = g * alpha, g * (1.0 - alpha)
-    return EffectivePotential(
-        value=4.0 * g * g * resp,
-        response=resp,
-        on_a=4.0 * g1 * g1 * resp,
-        cross=4.0 * g1 * g2 * resp,
-        on_b=4.0 * g2 * g2 * resp,
-    )
+    return 4.0 * g1 * g1 * resp, 4.0 * g1 * g2 * resp, 4.0 * g2 * g2 * resp
 
 
 def ab_transfer_factors(
@@ -129,8 +128,15 @@ def ab_transfer_factors(
     determinants t1/(t1 - cross) and (t1 - cross)/t1 cancel exactly in the
     product, restoring flux conservation.  All in units of J, ``pot`` too.
     """
-    t1, t2 = 1.0 + params.delta, 1.0 - params.delta
-    v1, v2, v3 = pot.on_a, pot.cross, pot.on_b
+    step_a, step_b = _step_entries(k, phi_e, pot.on_a, pot.cross, pot.on_b, x1, params.delta)
+    return TransferMatrix(*step_a), TransferMatrix(*step_b)
+
+
+def _step_entries(k, phi_e, v1, v2, v3, x1, delta):
+    """Entries (t11, t12, t21, t22) of the A step and of the B step of
+    :func:`ab_transfer_factors`, plain complex numbers, from the site
+    potentials (v1, v2, v3) = (on_a, cross, on_b) in units of J."""
+    t1, t2 = 1.0 + delta, 1.0 - delta
     if abs(t1 - v2) < 1e-12 * (abs(t1) + abs(v2)):
         raise DegenerateDenominatorError(
             f"t1 - cross potential = {t1 - v2:.3e} vanishes; A-step factor degenerate"
@@ -139,16 +145,13 @@ def ab_transfer_factors(
     theta = cmath.exp(2j * (k * x1 + phi_e))
     xa = 2j * (t1 - v2) * math.sin(phi_e)
     pa, qa = v1 + v2 / ep, v1 + v2 * ep
-    step_a = TransferMatrix(
-        1.0 - pa / xa, -(qa / theta) / xa, (pa * theta) / xa, 1.0 + qa / xa
-    )
     yb = 2j * t2 * math.sin(k + phi_e)
     pb, qb = v3 + v2 * ep, v3 + v2 / ep
     phx = cmath.exp(2j * k * x1)
-    step_b = TransferMatrix(
-        1.0 + pb / yb, (qb / phx) / yb, -(pb * phx) / yb, 1.0 - qb / yb
+    return (
+        (1.0 - pa / xa, -(qa / theta) / xa, (pa * theta) / xa, 1.0 + qa / xa),
+        (1.0 + pb / yb, (qb / phx) / yb, -(pb * phx) / yb, 1.0 - qb / yb),
     )
-    return step_a, step_b
 
 
 def transfer_matrix(
@@ -161,10 +164,13 @@ def transfer_matrix(
     """Transfer matrix across the emitter at momentum k on the given band.
 
     Every variant is the product B-step @ A-step of
-    :func:`ab_transfer_factors`.  Single-site couplings A and B are its
-    alpha = 1 and alpha = 0 cases: at alpha = 1 the B step is exactly the
-    identity, at alpha = 0 the A step is, and the remaining step equals the
-    single-site matrix because t2 sin(k + phi_E) = -t1 sin phi_E.  Energies
+    :func:`ab_transfer_factors`, formed in one pass: h(k), phi_E, the site
+    potentials and the eight step entries are plain numbers, and only the
+    product is built as a :class:`TransferMatrix`.  Single-site couplings
+    A and B are its alpha = 1 and alpha = 0 cases: at alpha = 1 the B step
+    is exactly the identity, at alpha = 0 the A step is, and the remaining
+    step equals the single-site matrix because t2 sin(k + phi_E) =
+    -t1 sin phi_E.  Energies
     are taken in units of J from :func:`~sshscatter.params.in_units_of_j`.
     Unlike the closed forms, which read the detuning from the metastable
     level as omega/J less its rounded level omega_e/J - delta_c/J, this
@@ -179,18 +185,19 @@ def transfer_matrix(
     h = h_over_j(k, params)
     require_dispersive(params, k)
     energy = band.sign * abs(h)
-    phi_e = band_phase(k, energy, params)
+    phi_e = _phase_of(h, energy)
     dk = energy - omega_e
     try:
-        pot = effective_potential(dk, delta_c, omega_rabi, g, config.alpha)
+        resp = detuning_response(dk, delta_c, omega_rabi)
     except PotentialSingularityError as exc:  # its pole, back from units of J
         pole = exc.pole * params.J
         raise PotentialSingularityError(
             f"potential pole at delta_k = {pole} (got {dk * params.J})", pole=pole) from None
-    a, b = ab_transfer_factors(k, phi_e, pot, emitter.x1, params)
+    (a11, a12, a21, a22), (b11, b12, b21, b22) = _step_entries(
+        k, phi_e, *_site_potentials(resp, g, config.alpha), emitter.x1, params.delta)
     return TransferMatrix(
-        b.t11 * a.t11 + b.t12 * a.t21, b.t11 * a.t12 + b.t12 * a.t22,
-        b.t21 * a.t11 + b.t22 * a.t21, b.t21 * a.t12 + b.t22 * a.t22,
+        b11 * a11 + b12 * a21, b11 * a12 + b12 * a22,
+        b21 * a11 + b22 * a21, b21 * a12 + b22 * a22,
     )
 
 

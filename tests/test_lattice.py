@@ -906,6 +906,21 @@ class TestWavepacket:
         with pytest.raises(ValidationError, match=r"^J out of range: .* lasts 304\.\d+/J"):
             wavepacket_transport(k0, 20.0, 400, wg, emitter, CouplingConfig(variant))
 
+    def test_chain_end_beyond_the_doubles_names_t_in_units_of_1_over_j(self):
+        # the packet reaches a chain end after about 649/J: at J = 2^-1018 t/J
+        # leaves the doubles, and the error once read "at t = inf"; it names
+        # the time in units of 1/J instead, the J = 1 run's figure
+        messages = []
+        for j in (1.0, 2.0**-1018):
+            wg = WaveguideParams(delta=0.5, J=j)
+            emitter = EmitterParams(omega_e=1.5 * j, g=0.2 * j, x1=300)
+            k0 = momentum_from_energy(1.5 * j, wg)
+            with pytest.raises(ChainTooShortError) as err:
+                wavepacket_transport(k0, 20.0, 600, wg, emitter, CouplingConfig(Variant.AB))
+            messages.append(str(err.value))
+        assert re.search(r"at t = \d+(\.\d+)?/J after 22 steps", messages[1])
+        assert messages[1] == messages[0].replace(" after", "/J after")
+
     def test_repeated_runs_are_identical(self, trivial_chain, topological_chain, config_ab):
         # the memoised coefficients must not make a run depend on the runs before it
         def run(chain, omega_rabi):
@@ -1010,7 +1025,7 @@ def test_one_weight_and_one_pole_equation():
     # B = E (w1^2 + w2^2) + 2 w1 w2 h* in _coupling_weight and the roots of
     # the pole quadratic, the one square root of a variable, in _pole_roots.
     # The poles, the regime and the potential's pole read them, and the
-    # band phase is bands.band_phase alone.  The lattice, the independent
+    # band phase is written in bands alone.  The lattice, the independent
     # oracle, is not scanned.
     package = Path(sshscatter.lattice.__file__).parent
     weights, roots, phases = [], [], []

@@ -1,6 +1,9 @@
+import ast
 import cmath
 import dataclasses
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,11 +32,15 @@ from sshscatter import (
 from sshscatter.errors import (
     BandEdgeError,
     DegenerateDenominatorError,
+    ModelError,
     OutOfBandError,
     PotentialSingularityError,
     ValidationError,
 )
-from sshscatter.bands import h_over_j
+import sshscatter.bands
+import sshscatter.scattering
+from sshscatter.bands import h_over_j, require_dispersive
+from sshscatter.params import in_units_of_j
 from sshscatter.scattering import TransferMatrix, ab_transfer_factors
 
 
@@ -812,3 +819,200 @@ def test_float_inputs_give_python_scalars(variant, J, g):
         if omega != 1.6 * J:
             u = transfer_matrix(config, k, wg, emitter, band)
             assert {type(u.t11), type(u.t12), type(u.t21), type(u.t22)} == {complex}
+
+
+def _two_step_transfer(config, k, params, emitter, band):
+    """Reference: the two-step product as first written, formula for formula.
+
+    The effective potential, then the A and B step matrices, then the
+    product B-step @ A-step; on the way it checks that
+    :func:`effective_potential` and :func:`ab_transfer_factors` still return
+    these numbers bit for bit.
+    """
+    omega_e, delta_c, omega_rabi, g = in_units_of_j(params, emitter)
+    h = h_over_j(k, params)
+    require_dispersive(params, k)
+    energy = band.sign * abs(h)
+    phi_e = band_phase(k, energy, params)
+    dk = energy - omega_e
+    try:
+        resp = detuning_response(dk, delta_c, omega_rabi)
+    except PotentialSingularityError as exc:
+        pole = exc.pole * params.J
+        raise PotentialSingularityError(
+            f"potential pole at delta_k = {pole} (got {dk * params.J})", pole=pole) from None
+    g1, g2 = g * config.alpha, g * (1.0 - config.alpha)
+    v1, v2, v3 = 4.0 * g1 * g1 * resp, 4.0 * g1 * g2 * resp, 4.0 * g2 * g2 * resp
+    pot = effective_potential(dk, delta_c, omega_rabi, g, config.alpha)
+    assert _bits(pot.value, pot.response, pot.on_a, pot.cross, pot.on_b) == _bits(
+        4.0 * g * g * resp, resp, v1, v2, v3)
+    t1, t2 = 1.0 + params.delta, 1.0 - params.delta
+    if abs(t1 - v2) < 1e-12 * (abs(t1) + abs(v2)):
+        raise DegenerateDenominatorError(
+            f"t1 - cross potential = {t1 - v2:.3e} vanishes; A-step factor degenerate"
+        )
+    ep = cmath.exp(1j * phi_e)
+    theta = cmath.exp(2j * (k * emitter.x1 + phi_e))
+    xa = 2j * (t1 - v2) * math.sin(phi_e)
+    pa, qa = v1 + v2 / ep, v1 + v2 * ep
+    a = TransferMatrix(1.0 - pa / xa, -(qa / theta) / xa, (pa * theta) / xa, 1.0 + qa / xa)
+    yb = 2j * t2 * math.sin(k + phi_e)
+    pb, qb = v3 + v2 * ep, v3 + v2 / ep
+    phx = cmath.exp(2j * k * emitter.x1)
+    b = TransferMatrix(1.0 + pb / yb, (qb / phx) / yb, -(pb * phx) / yb, 1.0 - qb / yb)
+    assert ab_transfer_factors(k, phi_e, pot, emitter.x1, params) == (a, b)
+    return TransferMatrix(
+        b.t11 * a.t11 + b.t12 * a.t21, b.t11 * a.t12 + b.t12 * a.t22,
+        b.t21 * a.t11 + b.t22 * a.t21, b.t21 * a.t12 + b.t22 * a.t22,
+    )
+
+
+def _bits(*values):
+    """Every real and imaginary part as its exact bits (-0.0 apart from 0.0)."""
+    return [(float(z.real).hex(), float(z.imag).hex(), type(z)) for z in values]
+
+
+def _outcome(call):
+    try:
+        u = call()
+    except ModelError as exc:
+        return type(exc), str(exc)
+    s = scattering_matrix(u)
+    return _bits(u.t11, u.t12, u.t21, u.t22, s.t_left, s.t_right, s.r_left, s.r_right)
+
+
+class TestOnePassCheckRoute:
+    """``transfer_matrix`` forms h(k), phi_E, the site potentials and the
+    step entries once per call, and gives the two-step product bit for bit."""
+
+    @staticmethod
+    def _draw(rng, i):
+        variant = (Variant.A, Variant.B, Variant.AB)[i % 3]
+        band = (Band.UPPER, Band.LOWER)[(i // 3) % 2]
+        J = 2.0 ** int(rng.integers(-1000, 1001))
+        delta = float(rng.uniform(0.1, 0.8)) * (1.0 if rng.random() < 0.5 else -1.0)
+        wg = WaveguideParams(delta=delta, J=J)
+        k = float(rng.uniform(0.0, math.pi))
+        energy = band.sign * abs(h_over_j(k, WaveguideParams(delta)))
+        emitter = EmitterParams(
+            omega_e=J * (energy - band.sign * float(rng.uniform(-0.3, 0.3))),
+            delta_c=J * float(rng.uniform(0.01, 0.2)) * (1.0 if rng.random() < 0.5 else -1.0),
+            omega_rabi=J * float(rng.uniform(0.0, 0.5)),
+            g=J * float(rng.uniform(0.05, 0.4)),
+            x1=int(rng.integers(1, 41)),
+        )
+        alpha = float(rng.uniform(0.01, 0.99)) if variant is Variant.AB else None
+        return CouplingConfig(variant, alpha), k, wg, emitter, band
+
+    def test_bit_identical_to_the_two_step_product(self):
+        rng = np.random.default_rng(25)
+        for i in range(6000):
+            args = self._draw(rng, i)
+            assert _outcome(lambda: transfer_matrix(*args)) == _outcome(
+                lambda: _two_step_transfer(*args)), args
+
+    @pytest.mark.parametrize("g", [0.2, 1e5, 1e7, 2.0**100])
+    def test_strong_coupling_keeps_the_two_step_digits(self, trivial_chain, g):
+        # above about 1e4 J scattering_matrix's t11 - t12 t21 / t22 cancels
+        # to a loss of digits; the one-pass entries reproduce it bit for bit
+        emitter = EmitterParams(omega_e=1.5, delta_c=0.03, omega_rabi=0.4, g=g, x1=5)
+        k = momentum_from_energy(1.62, trivial_chain)
+        for config in (CouplingConfig(Variant.A), CouplingConfig(Variant.AB, 0.3)):
+            args = config, k, trivial_chain, emitter, Band.UPPER
+            assert _outcome(lambda: transfer_matrix(*args)) == _outcome(
+                lambda: _two_step_transfer(*args))
+
+    def _errors(self):
+        wg = WaveguideParams(delta=0.5, J=2.0**-30)
+        k = momentum_from_energy(1.5 * wg.J, wg)
+        energy = abs(h_over_j(k, WaveguideParams(0.5)))
+        g = 0.2
+        zero = g * g * 0.25 / 1.5  # where 4 g1 g2 / (4 dk) = t1 at alpha = 1/2
+        flat = WaveguideParams(delta=-1.0)
+        return [
+            # a potential pole: dk = 0 with the drive off, on both bands
+            (PotentialSingularityError, CouplingConfig(Variant.A), k, wg,
+             EmitterParams(omega_e=energy * wg.J, g=g * wg.J, x1=3), Band.UPPER),
+            (PotentialSingularityError, CouplingConfig(Variant.AB, 0.3), k, wg,
+             EmitterParams(omega_e=-energy * wg.J, delta_c=0.1 * wg.J, g=g * wg.J), Band.LOWER),
+            # a degenerate A step: t1 - cross = 0
+            (DegenerateDenominatorError, CouplingConfig(Variant.AB, 0.5), k, wg,
+             EmitterParams(omega_e=(energy - zero) * wg.J, g=g * wg.J, x1=3), Band.UPPER),
+            # band edges, exact and flat
+            (BandEdgeError, CouplingConfig(Variant.B), math.pi, wg,
+             EmitterParams(omega_e=wg.J, g=g * wg.J), Band.UPPER),
+            (BandEdgeError, CouplingConfig(Variant.A), 0.0, wg,
+             EmitterParams(omega_e=wg.J, g=g * wg.J), Band.LOWER),
+            (BandEdgeError, CouplingConfig(Variant.AB), 1.0, flat,
+             EmitterParams(omega_e=1.0), Band.UPPER),
+        ]
+
+    def test_raised_errors_keep_type_and_message(self):
+        for error, *args in self._errors():
+            got = _outcome(lambda: transfer_matrix(*args))
+            assert got[0] is error
+            assert got == _outcome(lambda: _two_step_transfer(*args))
+
+    def test_one_h_one_matrix_and_no_potential_object(self, monkeypatch):
+        counts = {"h": 0, "matrix": 0, "potential": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for module in (sshscatter.bands, sshscatter.scattering):
+            monkeypatch.setattr(module, "h_over_j", counted("h", h_over_j))
+        monkeypatch.setattr(sshscatter.scattering, "TransferMatrix",
+                            counted("matrix", TransferMatrix))
+        monkeypatch.setattr(sshscatter.scattering, "EffectivePotential",
+                            counted("potential", sshscatter.scattering.EffectivePotential))
+        rng = np.random.default_rng(3)
+        for i in range(6):
+            args = self._draw(rng, i)
+            counts.update(h=0, matrix=0, potential=0)
+            transfer_matrix(*args)
+            assert counts == {"h": 1, "matrix": 1, "potential": 0}, args
+
+    def test_band_sign_is_a_plain_attribute(self):
+        assert not isinstance(inspect.getattr_static(Band, "sign", None), property)
+        for band, sign in ((Band.UPPER, 1), (Band.LOWER, -1)):
+            assert type(inspect.getattr_static(band, "sign")) is int
+            assert inspect.getattr_static(band, "sign") == sign
+
+    def test_site_potentials_and_step_entries_written_once(self):
+        # outside the lattice (the independent oracle) the site potentials
+        # 4 g1^2 resp, 4 g1 g2 resp, 4 g2^2 resp are written in one function
+        # and so are the step entries, the only sines of phi_E
+        package = Path(sshscatter.scattering.__file__).parent
+        potentials, steps = set(), set()
+        for path in sorted(package.glob("*.py")):
+            if path.stem == "lattice":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+                for node in ast.walk(func):
+                    where = (path.stem, func.name)
+                    if _is_site_potential(node):
+                        potentials.add(where)
+                    if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sin"
+                            and "phi_e" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}):
+                        steps.add(where)
+        assert potentials == {("scattering", "_site_potentials")}
+        assert steps == {("scattering", "_step_entries")}
+
+
+def _is_site_potential(node):
+    """True for a product chain with the factor 4.0 and a site coupling g1 or g2."""
+    factors, stack = [], [node]
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    while stack:
+        term = stack.pop()
+        if isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult):
+            stack += [term.left, term.right]
+        else:
+            factors.append(term)
+    return (any(isinstance(f, ast.Constant) and f.value == 4.0 for f in factors)
+            and any(isinstance(f, ast.Name) and f.id in ("g1", "g2") for f in factors))
