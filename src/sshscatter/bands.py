@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,11 @@ class BlochEigenvectors:
 def h_over_j(k, params: WaveguideParams):
     """h(k)/J = -(1 + delta) - (1 - delta) exp(-ik), in units of J where no
     product of hoppings overflows: a float k in (-pi, pi] gives a complex by
-    cmath, an array of k (-pi too) an array by the same arithmetic in numpy."""
+    cmath (any other real scalar but a bool is taken as ``float(k)``), an
+    array of k (-pi too) an array by the same arithmetic in numpy."""
     scalar = isinstance(k, float)
+    if not scalar and isinstance(k, numbers.Real) and not isinstance(k, bool):
+        k, scalar = float(k), True
     if scalar and not -math.pi < k <= math.pi:
         raise ValidationError(f"k = {k} outside the Brillouin zone (-pi, pi]")
     return -(1.0 + params.delta) - (1.0 - params.delta) * (cmath.exp if scalar else np.exp)(-1j * k)
@@ -92,12 +96,13 @@ def band_phase(k, energy, params: WaveguideParams):
 
     The principal phase of h(k) for positive (upper-band) energies, of -h(k)
     for negative (lower-band) ones: only the sign enters, so no division
-    rounds it.  Floats give a float, an array of k an array (``energy`` an
-    array or a float).  A zero or non-finite energy has no phase and raises
+    rounds it.  A real scalar k (as :func:`h_over_j` takes it) and a float
+    energy give a float, an array of k an array (``energy`` an array or a
+    float).  A zero or non-finite energy has no phase and raises
     :class:`ValidationError`.
     """
     h = h_over_j(k, params)
-    if isinstance(k, float):
+    if type(h) is complex:  # the cmath h of a scalar k
         return _phase_of(h, energy)
     if np.all(np.isfinite(energy) & (energy != 0.0)):
         return np.angle(np.where(energy > 0.0, h, -h))

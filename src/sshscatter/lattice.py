@@ -220,37 +220,40 @@ def _coupling_cell_equations(ham: LatticeHamiltonian, x1: int, omega, left, righ
     )
 
 
-def _powers(z: np.ndarray, n: int) -> np.ndarray:
-    """z^j for j = 1..N, one row per entry of ``z``: the incoming wave
-    exp(ikj) from the powers of one rounded exp(ik), so that neighbors are
-    one rounding apart where exp(ikj) per cell would leave residuals
-    growing with j."""
-    powers = z[:, None].repeat(n, axis=1)
-    return np.multiply.accumulate(powers, axis=1, out=powers)
+def _powers(z, n: int) -> np.ndarray:
+    """z^j for j = 1..N along the last axis, for one ``z`` or an array of
+    them: the incoming wave exp(ikj) from the powers of one rounded exp(ik),
+    so that neighbors are one rounding apart where exp(ikj) per cell would
+    leave residuals growing with j."""
+    powers = np.empty(np.shape(z) + (n,), dtype=complex)
+    powers.T[...] = z  # z along the leading axes, repeated along the last
+    return np.multiply.accumulate(powers, axis=-1, out=powers)
 
 
 def _residuals(ham, x1, omega, powers, phase, sol) -> np.ndarray:
-    """Per energy, the largest violation of (H - omega) psi = 0 over every
-    row of H but A_1 and B_N.  psi is, per cell, the incoming wave
-    powers (exp(i phi_E), 1) plus r times its conjugate left of cell x1 and
-    t times it right of x1, and the solved sites and levels, for the rows
-    of ``sol`` (r, A_x1, B_x1, t, e, a)."""
-    count, n = powers.shape
+    """The largest violation of (H - omega) psi = 0 over every row of H but
+    A_1 and B_N, as an array: 0-d for one energy (``omega`` and ``phase``
+    0-d, ``powers`` and ``sol`` 1-d), 1-d for a stack of them (one more
+    leading axis on each).  psi is, per cell,
+    the incoming wave powers (exp(i phi_E), 1) plus r times its conjugate
+    left of cell x1 and t times it right of x1, and the solved sites and
+    levels ``sol`` (r, A_x1, B_x1, t, e, a)."""
+    n = powers.shape[-1]
     lo, hi = 2 * x1 - 2, 2 * x1
-    psi = np.empty((count, 2 * n + 2), dtype=complex)
-    cells = psi[:, : 2 * n].reshape(count, n, 2)
-    np.multiply(powers, phase[:, None], out=cells[:, :, 0])
-    cells[:, :, 1] = powers
-    left, right = psi[:, :lo], psi[:, hi : 2 * n]
-    left += sol[:, :1] * left.conj()
-    right *= sol[:, 3:4]
-    psi[:, lo:hi] = sol[:, 1:3]
-    psi[:, 2 * n :] = sol[:, 4:]
+    psi = np.empty(powers.shape[:-1] + (2 * n + 2,), dtype=complex)
+    cells = psi[..., : 2 * n].reshape(powers.shape + (2,))
+    np.multiply(powers, phase[..., None], out=cells[..., 0])
+    cells[..., 1] = powers
+    left, right = psi[..., :lo], psi[..., hi : 2 * n]
+    left += sol[..., :1] * left.conj()
+    right *= sol[..., 3:4]
+    psi[..., lo:hi] = sol[..., 1:3]
+    psi[..., 2 * n :] = sol[..., 4:]
     violation = ham.apply(psi)
-    violation -= omega[:, None] * psi
+    violation -= omega[..., None] * psi
     violation = np.abs(violation)
-    violation[:, 0] = violation[:, 2 * n - 1] = 0.0
-    return violation.max(axis=1)
+    violation[..., 0] = violation[..., 2 * n - 1] = 0.0
+    return np.asarray(violation.max(axis=-1))
 
 
 def boundary_matched_solve(
@@ -315,8 +318,8 @@ def boundary_matched_solve(
         k = momentum_from_energy(omega, params, band)
         omega = float(omega)
         phase = cmath.exp(1j * band_phase(k, omega, params))
-        powers = _powers(np.array([cmath.exp(1j * k)]), n)
-        left, right = powers[0, x1 - 2 : x1 + 1 : 2].tolist()
+        powers = _powers(cmath.exp(1j * k), n)
+        left, right = powers[x1 - 2 : x1 + 1 : 2].tolist()
         system = np.array(
             _coupling_cell_equations(
                 ham, x1, omega / j, (left * phase, left), (right * phase, right)
@@ -330,9 +333,7 @@ def boundary_matched_solve(
                 f"boundary-matched system singular at omega = {omega}: {exc}",
                 pole=omega - emitter.omega_e,
             ) from exc
-        residual = _residuals(
-            ham, x1, np.array([omega / j]), powers, np.array([phase]), sol[None]
-        ).item()
+        residual = _residuals(ham, x1, np.array(omega / j), powers, np.array(phase), sol).item()
         if not math.isfinite(residual):
             raise PotentialSingularityError(
                 f"amplitudes beyond the doubles at omega = {omega}", pole=omega - emitter.omega_e)

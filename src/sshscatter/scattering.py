@@ -25,8 +25,9 @@ from .bands import _phase_of, h_over_j, momentum_from_energy, momentum_grid, req
 from .errors import DegenerateDenominatorError, PotentialSingularityError
 from .params import Band, CouplingConfig, EmitterParams, WaveguideParams, in_units_of_j
 
-# Threshold in units of J^2 (both amplitude routes divide by J first) below
-# which the potential denominator counts as a pole hit; see _potential_terms.
+# Threshold in units of J^2 below which detuning_response, the one place
+# that divides by the potential's denominator (for the check route), counts
+# it as a pole hit; the closed forms multiply it through and need none.
 _POLE_EPS = 1e-14
 
 
@@ -79,11 +80,13 @@ def detuning_response(delta_k: float, delta_c: float, omega_rabi: float) -> floa
     """Common detuning factor ``(dk + dc) / [4 dk (dk + dc) - Omega^2]`` of the
     site potentials, num/den of :func:`_potential_terms`, which states every
     case: ``1/(4 dk)`` with the control field off, exactly 0 at two-photon
-    resonance however small Omega is.  Raises :class:`PotentialSingularityError`
-    at a pole hit, carrying the nearest pole detuning.
+    resonance however small Omega is.  It divides by den, so it alone tests
+    for a pole: |den| < ``_POLE_EPS`` (1e-14, in units of J^2) with num
+    nonzero raises :class:`PotentialSingularityError`, carrying the nearest
+    pole detuning.
     """
     num, den = _potential_terms(delta_k, delta_k + delta_c, omega_rabi, 1.0)
-    if den == 0.0 and num != 0.0:
+    if abs(den) < _POLE_EPS and num != 0.0:
         # the pole equation without coupling (s = 0): the root nearest delta_k
         pole = min(_pole_roots(0.0, delta_c, omega_rabi / 2.0), key=lambda r: abs(delta_k - r)).real
         raise PotentialSingularityError(
@@ -228,8 +231,9 @@ def interference_factor(phi_e: float, alpha: float) -> complex:
 def _potential_terms(delta_k, two_photon, omega_rabi, g):
     """(num, den) with V = 4 g^2 num / den, all in units of J; floats or
     arrays of ``delta_k`` and ``two_photon``, the detuning from the
-    metastable level (dk + dc).  ``den`` snaps to 0 at an exact pole hit,
-    ``|den| < _POLE_EPS``, unless ``num`` vanishes too (V = 0 there).
+    metastable level (dk + dc).  Both as rounded, with no threshold: the
+    closed forms multiply den through and are regular where it is 0, and
+    :func:`detuning_response` makes its own pole test.
     """
     if g == 0.0:
         # a decoupled emitter has no potential, and so no pole either
@@ -240,7 +244,7 @@ def _potential_terms(delta_k, two_photon, omega_rabi, g):
     else:
         num = two_photon
         den = 4.0 * delta_k * num - omega_rabi * omega_rabi
-    return num, den * ((abs(den) >= _POLE_EPS) | (num == 0.0))
+    return num, den
 
 
 def _coupling_weight(w1, w2, energy, h_conj):

@@ -74,9 +74,11 @@ class TestDispersion:
         scaled = dispersion_grid(k, WaveguideParams(delta=delta, J=J)) / J
         np.testing.assert_allclose(scaled, unit, rtol=1e-15, atol=0.0)
 
-    def test_out_of_zone_rejected(self, trivial_chain):
-        with pytest.raises(ValidationError):
-            bloch_point(4.0, trivial_chain)
+    @pytest.mark.parametrize("k", [4.0, -3.5, 4, np.int64(-4)])
+    def test_out_of_zone_rejected(self, trivial_chain, k):
+        # an int k once skipped the zone check on the numpy path
+        with pytest.raises(ValidationError, match="outside the Brillouin zone"):
+            bloch_point(k, trivial_chain)
 
 
 class TestMomentumInversion:
@@ -313,3 +315,13 @@ def test_array_forms_match_the_float_forms(delta, J, band):
     # where sin pi rounds to 1.2e-16
     assert k[0] == -math.pi
     assert h[0] == h_over_j(math.pi, wg).conjugate()
+
+
+@pytest.mark.parametrize("k", [1, -2, np.int64(3), np.float32(0.5)])
+def test_real_scalar_momentum_is_its_float(trivial_chain, k):
+    # an int once went down the numpy path: a numpy.complex128 h that
+    # differed in the last bits from the float's
+    h = h_over_j(k, trivial_chain)
+    assert type(h) is complex and h == h_over_j(float(k), trivial_chain)
+    phi = band_phase(k, -1.3, trivial_chain)
+    assert type(phi) is float and phi == band_phase(float(k), -1.3, trivial_chain)

@@ -3,12 +3,12 @@
 The draws reach potential poles, two-photon resonance and band edges; an
 input the package rejects must be rejected the same way on both sides of
 an identity.  Energies are on the scale of J: each drive and detuning is
-either exactly 0 or at least 1e-6 J, since the 1e-14 pole-hit threshold
-is in units of J, not relative to the drive.  Couplings also reach down
-to 1e-300 J and detunings may be tiny, below the domain [2^-100, 2^100] J
-of ``params.in_units_of_j``: such a draw is refused with the same
-ValidationError on both sides, and a draw moved outside the domain on
-purpose is refused alike by every route.  The kinematics, the closed
+either exactly 0 or at least 1e-6 J, since the check route's 1e-14
+pole-hit threshold is in units of J, not relative to the drive.  Couplings
+also reach down to 1e-300 J and detunings may be tiny, below the domain
+[2^-100, 2^100] J of ``params.in_units_of_j``: such a draw is refused with
+the same ValidationError on both sides, and a draw moved outside the
+domain on purpose is refused alike by every route.  The kinematics, the closed
 forms, the check route, the poles, the group velocity and the Bloch
 eigenvectors are computed in units of J, so rescaling J by any power of
 two that keeps every input and output a normal double must give the J = 1

@@ -383,9 +383,10 @@ class TestTransmittance:
         assert abs(t - 1.0) < 1e-15
 
     def test_transparency_survives_a_tiny_drive(self, trivial_chain):
-        # Omega^2 < 1e-14 puts the whole two-photon window inside the pole-hit
-        # band |den| < 1e-14, but at dk = -dc the potential is exactly zero;
-        # the closed form, the transfer-matrix route and the lattice agree
+        # Omega^2 < 1e-14 puts the whole two-photon window inside the check
+        # route's pole-hit band |den| < 1e-14, but at dk = -dc the potential
+        # is exactly zero; the closed form, the transfer-matrix route and the
+        # lattice agree
         emitter = EmitterParams(omega_e=1.5, omega_rabi=1e-8, g=0.2, x1=5)
         k = momentum_from_energy(1.5, trivial_chain)
         for variant in Variant:
@@ -738,15 +739,6 @@ class TestDomainCorners:
     (with 0 for Omega and delta_c), on both bands, at J from 2^-900 to
     2^900: the closed forms are finite and conserve flux, are exactly
     J-covariant at J = 2^n, and agree with the lattice oracle.
-
-    A pole hit snapped by ``_POLE_EPS`` (den within 1e-14 J^2 of 0, set to
-    0) is compared with the lattice only through t = 0 for single-site
-    coupling: the snap puts the pole on a point up to about 1e-14 J^2 / |dk|
-    away from it, and where the drive is tiny that is far from the true
-    pole in units of the drive, so the lattice, which solves H as it is,
-    need not see a zero there (A, delta = 0.5, g = 1e-8, Omega = 1.37e-8,
-    delta_c = 0.05, omega = omega_e = 1.2: t = 0 snapped, |t| = 0.993 on
-    the lattice, the true pole about 4 ulps of omega away).
     """
 
     @staticmethod
@@ -768,8 +760,6 @@ class TestDomainCorners:
     @pytest.mark.parametrize("config", [CouplingConfig(Variant.A), CouplingConfig(Variant.B),
                                         CouplingConfig(Variant.AB, 0.3)], ids=["A", "B", "AB"])
     def test_corner(self, config, band, J):
-        from sshscatter.scattering import _potential_terms
-
         unit, wg = WaveguideParams(delta=0.5), WaveguideParams(delta=0.5, J=J)
         covariant = math.frexp(J)[0] == 0.5
         for emitter, energies in self._corners(band.sign):
@@ -787,14 +777,20 @@ class TestDomainCorners:
                 if covariant:
                     assert t == transmittance(config, energies[i], unit, emitter, band)
                     assert r == reflectance(config, energies[i], unit, emitter, band)
-                e_level = scaled.omega_e / J
-                a_level = e_level - scaled.delta_c / J
-                num, den = _potential_terms(omega / J - e_level, omega / J - a_level,
-                                            emitter.omega_rabi, emitter.g)
-                if den == 0.0 and num != 0.0:  # a snapped pole hit
-                    assert t == 0.0 or config.variant is Variant.AB
-                    continue
                 assert abs(t_lat[i] - t) <= 1e-10 and abs(r_lat[i] - r) <= 1e-10
+
+
+@pytest.mark.parametrize("config", [CouplingConfig(Variant.A), CouplingConfig(Variant.B),
+                                    CouplingConfig(Variant.AB)], ids=["A", "B", "AB"])
+def test_point_a_few_ulps_from_a_pole_is_not_a_pole(trivial_chain, config):
+    # at omega = omega_e under a tiny drive den = 4 dk (dk + dc) - Omega^2
+    # is -Omega^2 = -1.9e-16 J^2, while the pole lies about 4 ulps of omega
+    # away; an absolute 1e-14 J^2 threshold on den once made it a pole hit
+    # (t = 0 for A and B, |t| = 0.993 on the lattice)
+    emitter = EmitterParams(omega_e=1.2, delta_c=0.05, omega_rabi=1.37e-8, g=1e-8, x1=10)
+    lattice = boundary_matched_solve(1.2, 32, trivial_chain, emitter, config)
+    assert abs(transmittance(config, 1.2, trivial_chain, emitter) - lattice.t_num) <= 1e-10
+    assert abs(reflectance(config, 1.2, trivial_chain, emitter) - lattice.r_num) <= 1e-10
 
 
 @pytest.mark.parametrize("g", [0.2, 3.0, 2.0**100])
@@ -819,6 +815,18 @@ def test_float_inputs_give_python_scalars(variant, J, g):
         if omega != 1.6 * J:
             u = transfer_matrix(config, k, wg, emitter, band)
             assert {type(u.t11), type(u.t12), type(u.t21), type(u.t22)} == {complex}
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_integer_momentum_gives_the_float_transfer_matrix(trivial_chain, variant):
+    # an int k once gave numpy.complex128 entries, off the float's in the last bits
+    config = CouplingConfig(variant, 0.35)
+    emitter = EmitterParams(omega_e=1.5, delta_c=0.03, omega_rabi=0.2, g=0.2, x1=5)
+    for band in Band:
+        u = transfer_matrix(config, 1, trivial_chain, emitter, band)
+        v = transfer_matrix(config, 1.0, trivial_chain, emitter, band)
+        assert {type(u.t11), type(u.t12), type(u.t21), type(u.t22)} == {complex}
+        assert _bits(u.t11, u.t12, u.t21, u.t22) == _bits(v.t11, v.t12, v.t21, v.t22)
 
 
 def _two_step_transfer(config, k, params, emitter, band):
