@@ -19,6 +19,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,33 +56,68 @@ _MAX_WT = 2.0**17
 _CHUNK = 1 << 15
 
 
-@dataclass(frozen=True)
-class LatticeHamiltonian:
-    """Single-excitation Hamiltonian H/J, its times in units of 1/J, on the basis
-    [A1, B1, ..., AN, BN, e, a]: the diagonal ``onsite``, the ``bonds`` between neighbors
-    in that order (-t1/J, -t2/J alternating, 0 from BN to e, Omega/2J from e to a) and
-    the ``couplings`` (g1, g2)/J of e to the two ``sites`` of cell x1.  Single-site
-    variants are alpha = 1 or 0: one coupling is exactly 0 and contributes nothing.
-    What depends on H alone is built on first use and kept; :func:`build_hamiltonian`
-    makes the arrays read-only."""
+class LatticeHamiltonian(NamedTuple):
+    """Single-excitation Hamiltonian H/J, its times in units of 1/J, as the
+    named tuple of the numbers it is made of, on the basis
+    [A1, B1, ..., AN, BN, e, a] of ``n_cells`` cells: the hoppings ``t1``
+    within and ``t2`` between cells (H holds -t1 and -t2; the chain has no
+    on-site energy), the levels ``level_e`` and ``level_a`` of e and a, the
+    ``drive`` Omega/2J between them, and the couplings ``g1`` and ``g2`` of e
+    to the A and B sites of cell ``x1``.  Single-site variants are alpha = 1
+    or 0: one coupling is exactly 0 and contributes nothing.
 
-    onsite: np.ndarray
-    bonds: np.ndarray
-    sites: np.ndarray
-    couplings: np.ndarray
+    Nothing it holds grows with N, and being a tuple of numbers it cannot
+    change.  The read-only arrays ``onsite``, ``bonds`` (between neighbors
+    in basis order: -t1 and -t2 alternating, 0 from BN to e, the drive from
+    e to a), ``sites`` and ``couplings``, the stored entries and the dense
+    ``matrix`` are derived from these numbers on request, in O(N) or more;
+    what :func:`evolve` needs is built on first use and kept for the most
+    recent Hamiltonian.  Build one with :func:`build_hamiltonian`."""
+
+    n_cells: int
+    t1: float
+    t2: float
+    level_e: float
+    level_a: float
+    drive: float
+    x1: int
+    g1: float
+    g2: float
 
     @property
     def dim(self) -> int:
-        return len(self.onsite)
+        return 2 * self.n_cells + 2
+
+    @property
+    def onsite(self) -> np.ndarray:
+        return _read_only(np.r_[np.zeros(2 * self.n_cells), self.level_e, self.level_a])
+
+    @property
+    def bonds(self) -> np.ndarray:
+        n2 = 2 * self.n_cells
+        bonds = np.zeros(n2 + 1)
+        bonds[0:n2:2] = -self.t1
+        bonds[1 : n2 - 1 : 2] = -self.t2
+        bonds[n2] = self.drive
+        return _read_only(bonds)
+
+    @property
+    def sites(self) -> np.ndarray:
+        return _read_only(np.array([2 * self.x1 - 2, 2 * self.x1 - 1]))
+
+    @property
+    def couplings(self) -> np.ndarray:
+        return _read_only(np.array([self.g1, self.g2]))
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(row, column, value) of every stored matrix element."""
         i = np.arange(self.dim)
-        e = np.full(len(self.sites), self.dim - 2)
+        e = np.full(2, self.dim - 2)
+        sites, couplings = self.sites, self.couplings
         return (
-            np.concatenate((i, i[:-1], i[1:], e, self.sites)),
-            np.concatenate((i, i[1:], i[:-1], self.sites, e)),
-            np.concatenate((self.onsite, self.bonds, self.bonds, self.couplings, self.couplings)),
+            np.concatenate((i, i[:-1], i[1:], e, sites)),
+            np.concatenate((i, i[1:], i[:-1], sites, e)),
+            np.concatenate((self.onsite, self.bonds, self.bonds, couplings, couplings)),
         )
 
     @property
@@ -92,37 +128,75 @@ class LatticeHamiltonian:
         np.add.at(h, (rows, cols), vals)
         return h
 
-    @functools.cached_property
+    @property
     def _chebyshev(self):
-        """(w, bonds, (d_e, d_a), links), the set-up of :func:`evolve`: the
-        half-width of the Gershgorin interval [-w, w] about zero holding H's
-        spectrum, and 2X = 2H/w as the recurrence applies it: the bonds
-        repeated twice, for the float64 view of a complex state, the
-        diagonal of e and a (the chain has none) and the nonzero couplings
-        as (float index of the site, value)."""
-        if np.any(self.onsite[:-2]):
-            raise ValidationError("evolve needs a chain without on-site energies")
-        rows, cols, vals = self._entries()
-        radius = np.bincount(rows, weights=np.abs(vals) * (rows != cols), minlength=self.dim)
-        half = float(np.max(np.abs(self.onsite) + radius)) or 1.0
-        s = 2.0 / half
-        pairs = zip(self.sites.tolist(), self.couplings.tolist())
-        links = tuple((2 * site, s * g) for site, g in pairs if g)
-        return half, (s * self.bonds).repeat(2), tuple((s * self.onsite[-2:]).tolist()), links
+        """:func:`_chebyshev_setup` of this Hamiltonian."""
+        return _chebyshev_setup(self)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi along the last axis, for one state or a stack of states,
-        in O(N) operations each."""
+        in O(N) operations each: a two-hopping stencil on the A and B
+        sublattice views.  Each chain site takes -t1 times its partner in
+        the cell, then adds -t2 times its partner in the neighboring cell;
+        a coupled site then adds g times e.  The row of e sums its level
+        term, the drive term and then the couplings, that of a its level
+        term and then the drive term."""
         psi = np.asarray(psi, dtype=complex)
-        out = psi * self.onsite
-        head, tail = out[..., :-1], out[..., 1:]
-        head += self.bonds * psi[..., 1:]
-        tail += self.bonds * psi[..., :-1]
-        cell = slice(self.sites[0], self.sites[0] + 2)
-        emitter, sites = out[..., -2], out[..., cell]
-        emitter += psi[..., cell] @ self.couplings
-        sites += psi[..., -2:-1] * self.couplings
+        out = np.empty(psi.shape, dtype=complex)
+        n2, lo = 2 * self.n_cells, 2 * self.x1 - 2
+        a, b = psi[..., 0:n2:2], psi[..., 1:n2:2]
+        out_a, out_b = out[..., 0:n2:2], out[..., 1:n2:2]
+        intra = complex(-self.t1)
+        np.multiply(b, intra, out=out_a)
+        np.multiply(a, intra, out=out_b)
+        # the pairs (B_j, A_j+1) across the bonds between cells, times -t2
+        across = psi[..., 1 : n2 - 1] * complex(-self.t2)
+        from_left, from_right = out_a[..., 1:], out_b[..., :-1]
+        from_left += across[..., 0::2]
+        from_right += across[..., 1::2]
+        # psi.T[i] is entry i of every state: for one state a number, whose
+        # arithmetic stays scalar; the dot product is numpy's, for its rounding
+        e, a = psi.T[n2], psi.T[n2 + 1]
+        couplings = np.dot(psi[..., lo : lo + 2], np.array((self.g1, self.g2), dtype=complex))
+        out.T[n2] = self.level_e * e + self.drive * a + couplings.T
+        out.T[n2 + 1] = self.level_a * a + self.drive * e
+        out.T[lo] += self.g1 * e
+        out.T[lo + 1] += self.g2 * e
         return out
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=1)
+def _chebyshev_setup(ham: LatticeHamiltonian):
+    """(w, bonds, (d_e, d_a), links), the set-up of :func:`evolve`: the
+    half-width of the Gershgorin interval [-w, w] about zero holding H's
+    spectrum, and 2X = 2H/w as the recurrence applies it: the bonds
+    repeated twice, for the float64 view of a complex state, the diagonal
+    of e and a (the chain has none) and the nonzero couplings as (float
+    index of the site, value).  Each row's radius sums its off-diagonal
+    moduli in basis order: the bond to the right, the bond to the left,
+    then the couplings.  Memoised for the last H, which a transport run repeats."""
+    t1, t2, drive = abs(ham.t1), abs(ham.t2), abs(ham.drive)
+    g1, g2 = abs(ham.g1), abs(ham.g2)
+    rows = [
+        t1,  # A1 and BN
+        (t1 + t2 if ham.x1 > 1 else t1) + g1,
+        (t1 + t2 if ham.x1 < ham.n_cells else t1) + g2,
+        abs(ham.level_e) + ((drive + g1) + g2),
+        abs(ham.level_a) + drive,
+    ]
+    if ham.n_cells > 1:
+        rows.append(t1 + t2)
+    half = max(rows) or 1.0
+    s = 2.0 / half
+    pairs = zip(ham.sites.tolist(), (ham.g1, ham.g2))
+    links = tuple((2 * site, s * g) for site, g in pairs if g)
+    bonds = _read_only((s * ham.bonds).repeat(2))
+    return half, bonds, (s * ham.level_e, s * ham.level_a), links
 
 
 @dataclass(frozen=True)
@@ -152,11 +226,13 @@ class WavepacketRun:
 
 def _cell_count(n_cells) -> int:
     """``n_cells`` if it is a positive integer (a bool is not), else ValidationError."""
-    if isinstance(n_cells, bool) or not isinstance(n_cells, numbers.Integral):
-        raise ValidationError(f"n_cells must be an integer cell count, got {n_cells!r}")
+    if type(n_cells) is not int:
+        if isinstance(n_cells, bool) or not isinstance(n_cells, numbers.Integral):
+            raise ValidationError(f"n_cells must be an integer cell count, got {n_cells!r}")
+        n_cells = int(n_cells)
     if n_cells < 1:
         raise ValidationError(f"n_cells = {n_cells} must be positive")
-    return int(n_cells)
+    return n_cells
 
 
 def build_hamiltonian(
@@ -165,58 +241,57 @@ def build_hamiltonian(
     emitter: EmitterParams,
     config: CouplingConfig,
 ) -> LatticeHamiltonian:
-    """The (2N+2)-dimensional H/J of every lattice route, its times in units of 1/J:
-    hoppings -(1 +- delta), levels omega_e/J and omega_e/J - delta_c/J, drive and
-    couplings from :func:`~sshscatter.params.in_units_of_j` (exact at J = 2^n)."""
+    """The (2N+2)-dimensional H/J of every lattice route, its times in units of 1/J,
+    as its numbers: hoppings 1 +- delta, levels omega_e/J and omega_e/J - delta_c/J,
+    drive and couplings from :func:`~sshscatter.params.in_units_of_j` (exact at
+    J = 2^n).  Nothing is allocated that grows with N."""
     n = _cell_count(n_cells)
     x1 = cell_index(emitter.x1)
     if not 1 <= x1 <= n:
         raise PlacementError(f"coupling cell x1 = {x1} outside chain of {n} cells")
     omega_e, delta_c, omega_rabi, g = in_units_of_j(params, emitter)
-    onsite = np.zeros(2 * n + 2)
-    onsite[2 * n :] = omega_e, omega_e - delta_c
-    bonds = np.zeros(2 * n + 1)
-    bonds[0 : 2 * n : 2] = -(1.0 + params.delta)
-    bonds[1 : 2 * n - 1 : 2] = -(1.0 - params.delta)
-    bonds[2 * n] = omega_rabi / 2.0
-    sites = np.array([2 * x1 - 2, 2 * x1 - 1])
-    couplings = np.array(config.couplings(g))
-    for field in (onsite, bonds, sites, couplings):
-        field.setflags(write=False)
-    return LatticeHamiltonian(onsite, bonds, sites, couplings)
+    return LatticeHamiltonian(n, 1.0 + params.delta, 1.0 - params.delta, omega_e,
+                              omega_e - delta_c, omega_rabi / 2.0, x1, *config.couplings(g))
 
 
-def _coupling_cell_equations(ham: LatticeHamiltonian, x1: int, omega, left, right) -> tuple:
+#: where the entries of :func:`_coupling_cell_equations` sit, row by row, in
+#: the 42 of the augmented 6x7 system [M | b]; every other entry is 0
+_SYSTEM_ENTRIES = _read_only(np.array([0, 1, 6, 7, 8, 9, 11, 13, 15, 16, 17, 18, 23, 24, 29, 30,
+                                       32, 33, 39, 40]))
+
+
+def _coupling_cell_equations(ham: LatticeHamiltonian, omega, left, right) -> tuple:
     """The six rows of (H - omega) psi = 0 that reach an unknown, as the
-    42 entries, row by row, of the augmented system [M | b] in the unknowns
-    (r, A_x1, B_x1, t, e, a).
+    entries of the augmented system [M | b] in the unknowns
+    (r, A_x1, B_x1, t, e, a) at ``_SYSTEM_ENTRIES``:
+
+    - B of cell x1 - 1: r, A_x1 | b;
+    - A of cell x1: r, A_x1, B_x1, e | b;
+    - B of cell x1: A_x1, B_x1, t, e;
+    - A of cell x1 + 1: B_x1, t;
+    - e: A_x1, B_x1, e, a;
+    - a: e, a.
 
     ``left`` and ``right`` are the (A, B) amplitudes of the incoming wave on
     cells x1 - 1 and x1 + 1, the reflected wave being their conjugate; every
-    coefficient is read off the Hamiltonian's stored entries at the coupling
-    cell.  The same expressions hold for a float omega with complex waves
-    and for arrays of them.  A level with no path to the chain is pinned:
-    its row is that of psi = 0.
+    coefficient is read off the Hamiltonian's numbers: -t1 within a cell,
+    -t2 between cells, no on-site energy on the chain.  The same expressions
+    hold for a float omega with complex waves and for arrays of them.  A
+    level with no path to the chain is pinned: its row is that of psi = 0.
     """
-    lo, e = 2 * x1 - 2, ham.dim - 2
-    b_l2, b_l1, b_c, b_r1, b_r2 = ham.bonds[lo - 2 : lo + 3].tolist()
-    d_bl, d_a, d_b, d_ar, d_e, d_aa = [
-        v - omega for v in ham.onsite[lo - 1 : lo + 3].tolist() + ham.onsite[e:].tolist()
-    ]
-    drive = ham.bonds[e].item()
-    g1, g2 = ham.couplings.tolist()
+    intra, inter, chain = -ham.t1, -ham.t2, -omega
+    drive, g1, g2 = ham.drive, ham.g1, ham.g2
     (l_a, l_b), (r_a, r_b) = left, right
     coupled = bool(g1 or g2)
-    e_row = (0.0, g1, g2, 0.0, d_e, drive) if coupled else (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-    a_row = (0.0, 0.0, 0.0, 0.0, drive, d_aa) if coupled and drive else (0.0,) * 5 + (1.0,)
+    e_row = (g1, g2, ham.level_e - omega, drive) if coupled else (0.0, 0.0, 1.0, 0.0)
+    a_row = (drive, ham.level_a - omega) if coupled and drive else (0.0, 1.0)
     return (
-        d_bl * l_b.conjugate() + b_l2 * l_a.conjugate(), b_l1, 0.0, 0.0, 0.0, 0.0,
-        -(d_bl * l_b) - b_l2 * l_a,
-        b_l1 * l_b.conjugate(), d_a, b_c, 0.0, g1, 0.0, -b_l1 * l_b,
-        0.0, b_c, d_b, b_r1 * r_a, g2, 0.0, 0.0,
-        0.0, 0.0, b_r1, d_ar * r_a + b_r2 * r_b, 0.0, 0.0, 0.0,
-        *e_row, 0.0,
-        *a_row, 0.0,
+        chain * l_b.conjugate() + intra * l_a.conjugate(), inter, -(chain * l_b) - intra * l_a,
+        inter * l_b.conjugate(), chain, intra, g1, -inter * l_b,
+        intra, chain, inter * r_a, g2,
+        inter, chain * r_a + intra * r_b,
+        *e_row,
+        *a_row,
     )
 
 
@@ -225,35 +300,37 @@ def _powers(z, n: int) -> np.ndarray:
     them: the incoming wave exp(ikj) from the powers of one rounded exp(ik),
     so that neighbors are one rounding apart where exp(ikj) per cell would
     leave residuals growing with j."""
-    powers = np.empty(np.shape(z) + (n,), dtype=complex)
+    lead = z.shape if isinstance(z, np.ndarray) else ()  # np.shape(z) costs ~1 us on a number
+    powers = np.empty(lead + (n,), dtype=complex)
     powers.T[...] = z  # z along the leading axes, repeated along the last
     return np.multiply.accumulate(powers, axis=-1, out=powers)
 
 
-def _residuals(ham, x1, omega, powers, phase, sol) -> np.ndarray:
+def _residuals(ham, omega, powers, phase, sol):
     """The largest violation of (H - omega) psi = 0 over every row of H but
-    A_1 and B_N, as an array: 0-d for one energy (``omega`` and ``phase``
-    0-d, ``powers`` and ``sol`` 1-d), 1-d for a stack of them (one more
-    leading axis on each).  psi is, per cell,
-    the incoming wave powers (exp(i phi_E), 1) plus r times its conjugate
-    left of cell x1 and t times it right of x1, and the solved sites and
-    levels ``sol`` (r, A_x1, B_x1, t, e, a)."""
-    n = powers.shape[-1]
-    lo, hi = 2 * x1 - 2, 2 * x1
-    psi = np.empty(powers.shape[:-1] + (2 * n + 2,), dtype=complex)
-    cells = psi[..., : 2 * n].reshape(powers.shape + (2,))
-    np.multiply(powers, phase[..., None], out=cells[..., 0])
-    cells[..., 1] = powers
-    left, right = psi[..., :lo], psi[..., hi : 2 * n]
-    left += sol[..., :1] * left.conj()
-    right *= sol[..., 3:4]
+    A_1 and B_N: a float for one energy (``omega`` and ``phase`` numbers,
+    ``powers`` and ``sol`` 1-d), an array for a stack of them (one more
+    leading axis on each).  psi is, per cell, the incoming wave powers
+    (exp(i phi_E), 1) plus r times its conjugate left of cell x1 and t
+    times it right of x1, and the solved sites and levels ``sol``
+    (r, A_x1, B_x1, t, e, a).  Transposed, an array puts its energies
+    last, so that one energy's numbers and a stack's arrays broadcast
+    alike.  The product with the phase reads the contiguous ``powers``:
+    numpy's complex product rounds differently on strided operands."""
+    n2, lo, hi = 2 * ham.n_cells, 2 * ham.x1 - 2, 2 * ham.x1
+    psi = np.empty(powers.shape[:-1] + (n2 + 2,), dtype=complex)
+    np.multiply(powers.T, phase, out=psi[..., 0:n2:2].T)
+    psi[..., 1:n2:2] = powers
+    left, right = psi[..., :lo].T, psi[..., hi:n2].T
+    left += sol.T[0] * left.conj()
+    right *= sol.T[3]
     psi[..., lo:hi] = sol[..., 1:3]
-    psi[..., 2 * n :] = sol[..., 4:]
-    violation = ham.apply(psi)
-    violation -= omega[..., None] * psi
+    psi[..., n2:] = sol[..., 4:]
+    violation = ham.apply(psi).T
+    violation -= omega * psi.T
     violation = np.abs(violation)
-    violation[..., 0] = violation[..., 2 * n - 1] = 0.0
-    return np.asarray(violation.max(axis=-1))
+    violation[0] = violation[n2 - 1] = 0.0
+    return violation.max(axis=0)
 
 
 def boundary_matched_solve(
@@ -274,7 +351,7 @@ def boundary_matched_solve(
     the unknowns are six: r, the two sites of cell ``x1``, t and the
     emitter levels e and a.  Their equations are the six rows that reach an
     unknown, written once by :func:`_coupling_cell_equations` from the
-    Hamiltonian's stored entries at the coupling cell:
+    Hamiltonian's numbers:
 
     - B of cell x1 - 1, in r and A_x1;
     - A of cell x1, in r, A_x1, B_x1 and e;
@@ -294,6 +371,8 @@ def boundary_matched_solve(
     A_1 and B_N, so it also checks the Bloch waves on every free row of the
     chain.
 
+    The chain is checked first (at least 8 cells), then the Hamiltonian is
+    built, which checks x1 and the energies, then the placement 4 <= x1 <= N-3.
     A float returns a :class:`ScatterSolution`; an out-of-band energy raises
     as :func:`momentum_from_energy` does, and an exactly singular system or
     a residual that is not finite raises :class:`PotentialSingularityError`.
@@ -307,25 +386,24 @@ def boundary_matched_solve(
     n = _cell_count(n_cells)
     if n < 8:
         raise ValidationError(f"n_cells = {n} too small for boundary matching (need >= 8)")
-    x1 = cell_index(emitter.x1)
+    ham = build_hamiltonian(n, params, emitter, config)
+    x1 = ham.x1
     if not 4 <= x1 <= n - 3:
         raise PlacementError(
             f"x1 = {x1} too close to a chain end for N = {n} (need 4 <= x1 <= N-3)"
         )
-    ham = build_hamiltonian(n, params, emitter, config)
     j = params.J
-    if isinstance(omega, numbers.Real):
+    if type(omega) is float or isinstance(omega, numbers.Real):
         k = momentum_from_energy(omega, params, band)
         omega = float(omega)
+        unit = omega / j
         phase = cmath.exp(1j * band_phase(k, omega, params))
         powers = _powers(cmath.exp(1j * k), n)
         left, right = powers[x1 - 2 : x1 + 1 : 2].tolist()
-        system = np.array(
-            _coupling_cell_equations(
-                ham, x1, omega / j, (left * phase, left), (right * phase, right)
-            ),
-            dtype=complex,
-        ).reshape(6, 7)
+        system = np.zeros(42, dtype=complex)
+        system[_SYSTEM_ENTRIES] = _coupling_cell_equations(
+            ham, unit, (left * phase, left), (right * phase, right))
+        system = system.reshape(6, 7)
         try:
             sol = np.linalg.solve(system[:, :6], system[:, 6])
         except np.linalg.LinAlgError as exc:
@@ -333,7 +411,7 @@ def boundary_matched_solve(
                 f"boundary-matched system singular at omega = {omega}: {exc}",
                 pole=omega - emitter.omega_e,
             ) from exc
-        residual = _residuals(ham, x1, np.array(omega / j), powers, np.array(phase), sol).item()
+        residual = float(_residuals(ham, unit, powers, phase, sol))
         if not math.isfinite(residual):
             raise PotentialSingularityError(
                 f"amplitudes beyond the doubles at omega = {omega}", pole=omega - emitter.omega_e)
@@ -355,10 +433,10 @@ def boundary_matched_solve(
         powers = _powers(z[part], n)
         left, right = powers[:, x1 - 2], powers[:, x1]
         entries = _coupling_cell_equations(
-            ham, x1, unit[part], (left * phase[part], left), (right * phase[part], right)
+            ham, unit[part], (left * phase[part], left), (right * phase[part], right)
         )
-        system = np.empty((len(left), 42), dtype=complex)
-        for col, entry in enumerate(entries):
+        system = np.zeros((len(left), 42), dtype=complex)
+        for col, entry in zip(_SYSTEM_ENTRIES.tolist(), entries):
             system[:, col] = entry
         system = system.reshape(-1, 6, 7)
         mat, vec = system[:, :, :6], system[:, :, 6:]
@@ -371,7 +449,7 @@ def boundary_matched_solve(
             solved[part] = ~singular
             sol = np.linalg.solve(mat, vec)[:, :, 0]
         t[part], r[part] = sol[:, 3], sol[:, 0]
-        residual[part] = _residuals(ham, x1, unit[part], powers, phase[part], sol)
+        residual[part] = _residuals(ham, unit[part], powers, phase[part], sol)
     solved &= np.isfinite(residual)
     mask = in_band.copy()
     mask[in_band] = solved
@@ -419,14 +497,21 @@ def evolve(state: np.ndarray, ham: LatticeHamiltonian, t: float) -> np.ndarray:
     four array operations on float64 views, the real and imaginary parts of
     an entry sharing its real coefficient, and scalar updates for the
     diagonal of e and a and the couplings: the chain has no on-site energy.
-    Memory is O(N) whatever the number of terms.  The norm is checked to
-    1e-8 as the method contract.
+    Memory is O(N) whatever the number of terms.  A state that does not
+    have H's 2N+2 entries, or holds NaN or inf, raises ValidationError; the
+    norm is checked to 1e-8 as the method contract.
 
     An emitter disc reaching beyond the chain's widens [-w, w] on both
     sides: at g = 0.2 J and Omega = 0.4 J, omega_e = 3.5 J takes about 1.25
     times the terms of an interval centred on the spectrum at long steps, 6 J
     about 1.45 times; on the chains of ``validate`` the two are the same.
     """
+    state = np.asarray(state)
+    if state.shape != (ham.dim,):
+        raise ValidationError(
+            f"state of shape {state.shape} does not fit the Hamiltonian's {ham.dim} entries")
+    if not np.isfinite(state).all():
+        raise ValidationError("state holds NaN or inf")
     half, bonds, (d_e, d_a), links = ham._chebyshev
     if not abs(half * t) <= _MAX_WT:
         raise ValidationError(f"evolve step t = {float(t)!r} out of range: w t = "
@@ -465,7 +550,7 @@ def evolve(state: np.ndarray, ham: LatticeHamiltonian, t: float) -> np.ndarray:
     if rest:
         out += coeffs[-rest:] @ block[:rest]
     drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(state)))
-    if drift > 1e-8:
+    if not drift <= 1e-8:
         raise IntegrationAccuracyError(f"norm drift {drift:.3e} exceeds 1e-8")
     return out
 
@@ -592,7 +677,7 @@ def wavepacket_transport(
         if epop < EMITTER_EMPTY and near < WINDOW_CLEAR:
             break
     norm_drift = abs(float(np.linalg.norm(psi)) - 1.0)
-    if norm_drift > 1e-8:
+    if not norm_drift <= 1e-8:
         raise IntegrationAccuracyError(f"norm drift {norm_drift:.3e} exceeds 1e-8")
     if not math.isfinite(t / params.J):
         raise ValidationError(f"J out of range: {params.J} (the run lasts {t:.6g}/J)")

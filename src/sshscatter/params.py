@@ -154,6 +154,8 @@ def in_units_of_j(
 
 def cell_index(x1) -> int:
     """``x1`` as an int where it is integral (200.0 too, a bool not), else ValidationError."""
+    if type(x1) is int:
+        return x1
     if not isinstance(x1, bool) and isinstance(x1, numbers.Real) and (
             isinstance(x1, numbers.Integral) or float(x1).is_integer()):
         return int(x1)

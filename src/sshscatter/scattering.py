@@ -23,7 +23,14 @@ import numpy as np
 
 from .bands import _phase_of, h_over_j, momentum_from_energy, momentum_grid, require_dispersive
 from .errors import DegenerateDenominatorError, PotentialSingularityError
-from .params import Band, CouplingConfig, EmitterParams, WaveguideParams, in_units_of_j
+from .params import (
+    Band,
+    CouplingConfig,
+    EmitterParams,
+    WaveguideParams,
+    cell_index,
+    in_units_of_j,
+)
 
 # Threshold in units of J^2 below which detuning_response, the one place
 # that divides by the potential's denominator (for the check route), counts
@@ -129,9 +136,11 @@ def ab_transfer_factors(
     The total transfer matrix is the product B-step @ A-step.  Each factor
     alone is basis-convention dependent and has non-unit determinant; the
     determinants t1/(t1 - cross) and (t1 - cross)/t1 cancel exactly in the
-    product, restoring flux conservation.  All in units of J, ``pot`` too.
+    product, restoring flux conservation.  All in units of J, ``pot`` too;
+    ``x1`` is taken as :func:`~sshscatter.params.cell_index` takes it.
     """
-    step_a, step_b = _step_entries(k, phi_e, pot.on_a, pot.cross, pot.on_b, x1, params.delta)
+    step_a, step_b = _step_entries(
+        k, phi_e, pot.on_a, pot.cross, pot.on_b, cell_index(x1), params.delta)
     return TransferMatrix(*step_a), TransferMatrix(*step_b)
 
 
@@ -185,6 +194,7 @@ def transfer_matrix(
     potential.
     """
     omega_e, delta_c, omega_rabi, g = in_units_of_j(params, emitter)
+    x1 = cell_index(emitter.x1)
     h = h_over_j(k, params)
     require_dispersive(params, k)
     energy = band.sign * abs(h)
@@ -197,7 +207,7 @@ def transfer_matrix(
         raise PotentialSingularityError(
             f"potential pole at delta_k = {pole} (got {dk * params.J})", pole=pole) from None
     (a11, a12, a21, a22), (b11, b12, b21, b22) = _step_entries(
-        k, phi_e, *_site_potentials(resp, g, config.alpha), emitter.x1, params.delta)
+        k, phi_e, *_site_potentials(resp, g, config.alpha), x1, params.delta)
     return TransferMatrix(
         b11 * a11 + b12 * a21, b11 * a12 + b12 * a22,
         b21 * a11 + b22 * a21, b21 * a12 + b22 * a22,
@@ -312,7 +322,7 @@ def _cell_amplitudes(config, energy, h, phase, params, emitter):
 def _point_amplitudes(config, omega, params, emitter, band):
     k = momentum_from_energy(omega, params, band)
     h = h_over_j(k, params)
-    phase = cmath.exp(2j * k * emitter.x1)
+    phase = cmath.exp(2j * k * cell_index(emitter.x1))
     return _cell_amplitudes(config, omega, h, phase, params, emitter)
 
 
@@ -370,6 +380,6 @@ def amplitude_grid(
     """
     omega = np.asarray(omega, dtype=float)
     in_band, k = momentum_grid(omega, params, band)
-    phase = np.exp(2j * k * emitter.x1)
+    phase = np.exp(2j * k * cell_index(emitter.x1))
     t, r = _cell_amplitudes(config, omega[in_band], h_over_j(k, params), phase, params, emitter)
     return in_band, t, r

@@ -17,6 +17,7 @@ from sshscatter import (
     Band,
     CouplingConfig,
     EmitterParams,
+    LatticeHamiltonian,
     ScatterSolution,
     Variant,
     WaveguideParams,
@@ -152,6 +153,29 @@ class TestBuildHamiltonian:
         ref[24, 25] = ref[25, 24] = emitter.omega_rabi / 2.0
         ref[24, 2 * x1 - 2 + site] = ref[2 * x1 - 2 + site, 24] = emitter.g
         assert np.array_equal(ham.matrix, ref)
+
+    def test_holds_its_numbers(self, topological_chain):
+        # H/J is the named tuple of the numbers it is made of: two hoppings,
+        # the two levels, the drive, the coupling cell and its couplings
+        emitter = EmitterParams(omega_e=1.5, delta_c=0.125, omega_rabi=0.25, g=0.5, x1=4)
+        ham = build_hamiltonian(10, topological_chain, emitter, CouplingConfig(Variant.AB, 0.25))
+        assert ham == LatticeHamiltonian(10, 0.5, 1.5, 1.5, 1.375, 0.125, 4, 0.125, 0.375)
+        assert ham.dim == 22 and hash(ham) == hash(build_hamiltonian(
+            10, topological_chain, emitter, CouplingConfig(Variant.AB, 0.25)))
+
+    def test_allocates_nothing_that_grows_with_the_chain(self, trivial_chain, config_ab):
+        # H is held as its numbers: stored as 2N + 2 on-site and 2N + 1 bond
+        # entries it would take about 33 MB at 2^20 cells
+        emitter = EmitterParams(omega_e=1.5, delta_c=0.07, omega_rabi=0.23, g=0.3, x1=9)
+        build_hamiltonian(64, trivial_chain, emitter, config_ab)
+        tracemalloc.start()
+        try:
+            ham = build_hamiltonian(2**20, trivial_chain, emitter, config_ab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e3
+        assert ham.dim == 2**21 + 2
 
     def test_placement_outside_chain_rejected(self, trivial_chain, config_a):
         emitter = EmitterParams(omega_e=1.5, g=0.2, x1=21)
@@ -534,10 +558,10 @@ class TestArraySolve:
     def test_singular_energy_is_masked(self, trivial_chain, variant, monkeypatch):
         equations = sshscatter.lattice._coupling_cell_equations
 
-        def zero_first_row_at_1_5(ham, x1, omega, left, right):
-            entries = equations(ham, x1, omega, left, right)
+        def zero_first_row_at_1_5(ham, omega, left, right):
+            entries = equations(ham, omega, left, right)
             keep = omega != 1.5
-            return tuple(entry * keep for entry in entries[:7]) + entries[7:]
+            return tuple(entry * keep for entry in entries[:3]) + entries[3:]  # the first row
 
         monkeypatch.setattr(sshscatter.lattice, "_coupling_cell_equations", zero_first_row_at_1_5)
         emitter = EmitterParams(omega_e=1.5, omega_rabi=0.0, g=0.2, x1=10)
@@ -547,10 +571,10 @@ class TestArraySolve:
     def test_solution_beyond_the_doubles_is_masked(self, trivial_chain, variant, monkeypatch):
         residuals = sshscatter.lattice._residuals
 
-        def nan_at_1_5(ham, x1, omega, powers, phase, sol):
-            out = residuals(ham, x1, omega, powers, phase, sol)
-            out[omega == 1.5] = np.nan
-            return out
+        def nan_at_1_5(ham, omega, powers, phase, sol):
+            # omega is a number for one energy, a column for a stack
+            out = residuals(ham, omega, powers, phase, sol)
+            return np.where(np.reshape(omega, np.shape(out)) == 1.5, np.nan, out)
 
         monkeypatch.setattr(sshscatter.lattice, "_residuals", nan_at_1_5)
         emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.2, x1=10)
@@ -679,14 +703,24 @@ class TestEvolve:
         lo, hi = _gershgorin(ham)
         assert ham._chebyshev[0] == (hi - lo) / 2.0 == hi == -lo
 
-    def test_chain_on_site_energy_is_refused(self, trivial_chain, resonant_emitter, config_a):
-        # the recurrence has no diagonal on the chain
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_state_not_finite_is_refused(self, trivial_chain, resonant_emitter, config_a, bad):
+        # it used to come back all NaN: the drift test compared NaN > 1e-8
         ham = build_hamiltonian(12, trivial_chain, resonant_emitter, config_a)
-        onsite = ham.onsite.copy()
-        onsite[3] = 0.1
-        shifted = dataclasses.replace(ham, onsite=onsite)
-        with pytest.raises(ValidationError, match="on-site"):
-            evolve(np.eye(ham.dim)[0], shifted, 1.0)
+        state = np.eye(ham.dim, dtype=complex)[3]
+        state[7] = bad
+        with pytest.raises(ValidationError, match="NaN or inf"):
+            evolve(state, ham, 1.0)
+
+    @pytest.mark.parametrize("dim", [25, 27, 0])
+    def test_state_of_the_wrong_length_is_refused(self, trivial_chain, resonant_emitter,
+                                                  config_a, dim):
+        # it used to end in numpy's "could not broadcast" ValueError
+        ham = build_hamiltonian(12, trivial_chain, resonant_emitter, config_a)
+        with pytest.raises(ValidationError, match=r"does not fit the Hamiltonian's 26 entries"):
+            evolve(np.ones(dim, dtype=complex) / max(dim, 1) ** 0.5, ham, 1.0)
+        with pytest.raises(ValidationError, match=r"does not fit"):
+            evolve(np.ones((2, ham.dim), dtype=complex), ham, 1.0)
 
     def test_steps_compose(self, trivial_chain, config_ab):
         emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.3, x1=20)

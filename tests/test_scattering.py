@@ -615,6 +615,46 @@ class TestReflectance:
         assert abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) < 1e-12
 
 
+class TestCouplingCellIndex:
+    """The closed forms take x1 as the lattice routes and ``params.validate``
+    do: an integral value is that cell, anything else a ValidationError
+    naming x1 (2.5 and True once gave a half-cell phase, "3" a bare
+    TypeError)."""
+
+    @pytest.mark.parametrize("x1", [2.5, True, "3", math.nan])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_other_values_are_named(self, trivial_chain, variant, x1):
+        config = CouplingConfig(variant)
+        emitter = EmitterParams(omega_e=1.5, omega_rabi=0.4, g=0.2, x1=x1)
+        k = momentum_from_energy(1.6, trivial_chain)
+        calls = [
+            lambda: transmittance(config, 1.6, trivial_chain, emitter),
+            lambda: reflectance(config, 1.6, trivial_chain, emitter),
+            lambda: amplitude_grid(config, np.array([1.4, 1.6]), trivial_chain, emitter),
+            lambda: transfer_matrix(config, k, trivial_chain, emitter),
+            lambda: ab_transfer_factors(k, band_phase(k, 1.6, trivial_chain),
+                                        effective_potential(0.1, 0.0, 0.4, 0.2, 0.5), x1,
+                                        trivial_chain),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=r"^x1 must be an integer cell index"):
+                call()
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_integral_values_are_the_cell(self, trivial_chain, variant):
+        config = CouplingConfig(variant)
+        omega = np.array([1.4, 1.6])
+        k = momentum_from_energy(1.6, trivial_chain)
+        results = []
+        for x1 in (3, 3.0, np.int64(3)):
+            emitter = EmitterParams(omega_e=1.5, omega_rabi=0.4, g=0.2, x1=x1)
+            grid = amplitude_grid(config, omega, trivial_chain, emitter)
+            results.append((reflectance(config, 1.6, trivial_chain, emitter),
+                            transfer_matrix(config, k, trivial_chain, emitter),
+                            grid[1].tolist(), grid[2].tolist()))
+        assert results[0] == results[1] == results[2]
+
+
 class TestNearPole:
     """Two-site coupling 1e-6 .. 1e-12 away from every potential pole.
 
