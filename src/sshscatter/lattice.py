@@ -144,11 +144,11 @@ class LatticeHamiltonian(NamedTuple):
         psi = np.asarray(psi, dtype=complex)
         out = np.empty(psi.shape, dtype=complex)
         n2, lo = 2 * self.n_cells, 2 * self.x1 - 2
-        a, b = psi[..., 0:n2:2], psi[..., 1:n2:2]
+        sites_a, sites_b = psi[..., 0:n2:2], psi[..., 1:n2:2]
         out_a, out_b = out[..., 0:n2:2], out[..., 1:n2:2]
         intra = complex(-self.t1)
-        np.multiply(b, intra, out=out_a)
-        np.multiply(a, intra, out=out_b)
+        np.multiply(sites_b, intra, out=out_a)
+        np.multiply(sites_a, intra, out=out_b)
         # the pairs (B_j, A_j+1) across the bonds between cells, times -t2
         across = psi[..., 1 : n2 - 1] * complex(-self.t2)
         from_left, from_right = out_a[..., 1:], out_b[..., :-1]
@@ -193,7 +193,7 @@ def _chebyshev_setup(ham: LatticeHamiltonian):
         rows.append(t1 + t2)
     half = max(rows) or 1.0
     s = 2.0 / half
-    pairs = zip(ham.sites.tolist(), (ham.g1, ham.g2))
+    pairs = ((2 * ham.x1 - 2, ham.g1), (2 * ham.x1 - 1, ham.g2))
     links = tuple((2 * site, s * g) for site, g in pairs if g)
     bonds = _read_only((s * ham.bonds).repeat(2))
     return half, bonds, (s * ham.level_e, s * ham.level_a), links

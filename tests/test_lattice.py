@@ -57,6 +57,30 @@ def _gershgorin(ham):
     return float(np.min(ham.onsite - radius)), float(np.max(ham.onsite + radius))
 
 
+def _apply_by_entries(ham, psi):
+    """H psi summed from the stored entries: the diagonal, each bond to the
+    right, each bond to the left, then the couplings into e and out of it,
+    the order in which :meth:`LatticeHamiltonian.apply` adds its terms."""
+    psi = np.asarray(psi, dtype=complex)
+    out = psi * ham.onsite
+    head, tail = out[..., :-1], out[..., 1:]
+    head += ham.bonds * psi[..., 1:]
+    tail += ham.bonds * psi[..., :-1]
+    lo = int(ham.sites[0])
+    emitter, sites = out[..., -2], out[..., lo : lo + 2]
+    emitter += psi[..., lo : lo + 2] @ ham.couplings
+    sites += psi[..., -2:-1] * ham.couplings
+    return out
+
+
+def _random_hamiltonian(rng, n, x1):
+    variant = Variant(("A", "B", "AB")[int(rng.integers(3))])
+    omega_e, delta_c, omega_rabi, g, delta = rng.uniform((-4, -0.3, 0, 0, -0.9), (4, 0.3, 0.6, 0.6, 0.9))
+    emitter = EmitterParams(float(omega_e), float(delta_c), float(omega_rabi), float(g), x1)
+    alpha = float(rng.uniform(0.1, 0.9)) if variant is Variant.AB else None
+    return build_hamiltonian(n, WaveguideParams(float(delta)), emitter, CouplingConfig(variant, alpha))
+
+
 def dense_reference_solve(omega, n, params, emitter, config, band=Band.UPPER):
     """(t, r) from the boundary-matched system as first written: unknowns
     ordered r, interior sites, t, e, a, summed into a dense matrix with
@@ -127,6 +151,19 @@ class TestBuildHamiltonian:
         stack = rng.normal(size=(2, 3, ham.dim)) + 1j * rng.normal(size=(2, 3, ham.dim))
         np.testing.assert_allclose(ham.apply(stack), stack @ ham.matrix.T, rtol=0, atol=1e-14)
         assert np.array_equal(ham.apply(stack)[1, 2], ham.apply(stack[1, 2]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12])
+    def test_apply_is_the_sum_of_the_entries_bit_for_bit(self, n):
+        # the stencil adds the same products in the same order as a sum over
+        # the stored entries, so the two agree exactly, one state or a stack
+        rng = np.random.default_rng(n)
+        for x1 in sorted({1, (n + 1) // 2, n}):
+            ham = _random_hamiltonian(rng, n, x1)
+            psi = rng.normal(size=(4, ham.dim)) + 1j * rng.normal(size=(4, ham.dim))
+            psi *= 10.0 ** rng.integers(-8, 8, size=psi.shape)
+            assert np.array_equal(ham.apply(psi), _apply_by_entries(ham, psi))
+            for state in psi:
+                assert np.array_equal(ham.apply(state), _apply_by_entries(ham, state))
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_apply_leaves_its_input_untouched(self, topological_chain, variant):
@@ -721,6 +758,17 @@ class TestEvolve:
             evolve(np.ones(dim, dtype=complex) / max(dim, 1) ** 0.5, ham, 1.0)
         with pytest.raises(ValidationError, match=r"does not fit"):
             evolve(np.ones((2, ham.dim), dtype=complex), ham, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12])
+    def test_interval_is_the_gershgorin_bound_of_the_entries(self, n):
+        # evolve's w, computed from the numbers of H, is the largest
+        # Gershgorin bound of its stored entries exactly, wherever x1 sits
+        rng = np.random.default_rng(100 + n)
+        for x1 in sorted({1, (n + 1) // 2, n}):
+            for _ in range(20):
+                ham = _random_hamiltonian(rng, n, x1)
+                lo, hi = _gershgorin(ham)
+                assert ham._chebyshev[0] == max(-lo, hi)
 
     def test_steps_compose(self, trivial_chain, config_ab):
         emitter = EmitterParams(omega_e=1.5, omega_rabi=0.2, g=0.3, x1=20)
