@@ -415,7 +415,8 @@ def boundary_matched_solve(
         if not math.isfinite(residual):
             raise PotentialSingularityError(
                 f"amplitudes beyond the doubles at omega = {omega}", pole=omega - emitter.omega_e)
-        return ScatterSolution(complex(sol[3]), complex(sol[0]), residual * j)
+        r, _, _, t, _, _ = sol.tolist()
+        return ScatterSolution(t, r, residual * j)
 
     omega = np.asarray(omega, dtype=float)
     if omega.ndim != 1:
